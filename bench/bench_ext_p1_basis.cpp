@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
     obs::Stopwatch t0;
     core::KleOptions p0_options;
     p0_options.num_eigenpairs = modes;
-    p0_options.backend = core::KleBackend::kDense;
     const core::KleResult p0 = core::solve_kle(mesh, kernel, p0_options);
     const double p0_time = t0.seconds();
 
@@ -86,7 +85,6 @@ int main(int argc, char** argv) {
       mesh::StructuredPattern::kCross);
   core::KleOptions p0_options;
   p0_options.num_eigenpairs = 25;
-  p0_options.backend = core::KleBackend::kDense;
   const core::KleResult p0 = core::solve_kle(mesh, gauss, p0_options);
   core::P1KleOptions p1_options;
   p1_options.num_eigenpairs = 25;

@@ -92,7 +92,7 @@ struct ExperimentFlagSet {
   /// Applies to the fresh-solve path; store fetches are unaffected.
   bool matrix_free = false;
   /// Relative ACA block tolerance for --matrix-free (--aca-tol). 0 = the
-  /// solver default (core::MatfreeOptions::aca_tolerance). Must be >= 0.
+  /// solver default (linalg::HmatOptions::aca_tolerance). Must be >= 0.
   double aca_tol = 0.0;
   /// Observability (obs::TraceSession reads both; a non-empty trace_json
   /// implies tracing, as does the SCKL_TRACE environment variable).

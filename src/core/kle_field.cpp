@@ -9,8 +9,9 @@ namespace sckl::core {
 
 KleField::KleField(const KleResult& kle, std::size_t r,
                    const std::vector<geometry::Point2>& locations)
-    : r_(r), d_lambda_(kle.reconstruction_operator(r)) {
+    : r_(r) {
   require(!locations.empty(), "KleField: no locations");
+  const linalg::Matrix d_lambda = kle.reconstruction_operator(r);  // n x r
   triangle_index_.reserve(locations.size());
   gate_rows_ = linalg::Matrix(locations.size(), r_);
   for (std::size_t i = 0; i < locations.size(); ++i) {
@@ -22,10 +23,16 @@ KleField::KleField(const KleResult& kle, std::size_t r,
     const std::size_t tri =
         containing.has_value() ? *containing : kle.triangle_of(locations[i]);
     triangle_index_.push_back(tri);
-    std::copy(d_lambda_.row_ptr(tri), d_lambda_.row_ptr(tri) + r_,
+    std::copy(d_lambda.row_ptr(tri), d_lambda.row_ptr(tri) + r_,
               gate_rows_.row_ptr(i));
   }
   gate_rows_t_ = gate_rows_.transposed();
+}
+
+std::size_t KleField::matrix_bytes() const {
+  return (gate_rows_.rows() * gate_rows_.cols() +
+          gate_rows_t_.rows() * gate_rows_t_.cols()) *
+         sizeof(double);
 }
 
 std::size_t KleField::triangle_of_location(std::size_t i) const {

@@ -47,13 +47,13 @@ class KleField {
   /// The gathered operator G (num_locations x r).
   const linalg::Matrix& location_operator() const { return gate_rows_; }
 
-  /// The full per-triangle operator D_lambda (n x r).
-  const linalg::Matrix& triangle_operator() const { return d_lambda_; }
+  /// Bytes of the matrices this field holds: G and its GEMM-ready
+  /// transpose.
+  std::size_t matrix_bytes() const;
 
  private:
   std::size_t r_;
-  linalg::Matrix d_lambda_;   // n x r
-  linalg::Matrix gate_rows_;  // num_locations x r (gathered rows of d_lambda_)
+  linalg::Matrix gate_rows_;  // num_locations x r (gathered rows of D_lambda)
   linalg::Matrix gate_rows_t_;  // r x num_locations, the GEMM-ready layout
   std::vector<std::size_t> triangle_index_;
   std::size_t out_of_mesh_count_ = 0;

@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "common/error.h"
-#include "linalg/blas.h"
+#include "linalg/gemm.h"
 
 namespace sckl::core {
 namespace {
@@ -136,7 +136,7 @@ robust::HealthReport check_kle_health(const KleResult& kle,
   for (std::size_t j = 0; j < kle.num_eigenpairs(); ++j) {
     for (std::size_t i = 0; i < n; ++i)
       u[i] = kle.coefficient(i, j) * std::sqrt(kle.mesh().area(i));
-    linalg::Vector bu = linalg::gemv(galerkin, u);
+    linalg::Vector bu = linalg::gemv_fast(galerkin, u);
     const double lambda = kle.eigenvalue(j);
     double norm_sq = 0.0;
     for (std::size_t i = 0; i < n; ++i) {

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/error.h"
-#include "linalg/blas.h"
+#include "core/matfree_operator.h"
+#include "linalg/kernel_operator.h"
 #include "linalg/lanczos.h"
 #include "linalg/symmetric_eigen.h"
 #include "obs/metrics.h"
@@ -130,102 +134,37 @@ linalg::LanczosOptions lanczos_options_for(const KleOptions& options,
   lanczos.num_eigenpairs = m;
   lanczos.seed = options.lanczos_seed;
   // Clustered trailing eigenvalues of smooth kernels converge slowly;
-  // give the subspace generous room by default. The matrix-free override
-  // exists because at million-triangle n the Krylov basis (8n bytes per
-  // vector) dominates memory, not because fewer iterations are desirable.
-  const std::size_t cap = options.operator_mode == OperatorMode::kMatrixFree
-                              ? options.matfree.lanczos_max_subspace
-                              : 0;
+  // give the subspace generous room unless the caller caps it.
+  const std::size_t cap = options.lanczos_max_subspace;
   lanczos.max_subspace =
       cap == 0 ? std::min(n, 2 * m + 160) : std::max(std::min(cap, n), m);
   lanczos.tolerance = 1e-9;
   return lanczos;
 }
 
-// The kMatrixFree eigensolve: hierarchical ACA operator, then the exact
-// on-the-fly matvec, then (small n only) the assembled dense solve.
-linalg::SymmetricEigenResult solve_matrix_free(
-    const mesh::TriMesh& mesh, const kernels::CovarianceKernel& kernel,
-    const KleOptions& options, std::size_t n, std::size_t m,
-    KleSolveInfo* info) {
-  require(options.quadrature == QuadratureRule::kCentroid1,
-          "solve_kle: the matrix-free path evaluates centroid-rule entries "
-          "on the fly and supports no other quadrature");
-  obs::counter("sckl.core.kle_matfree_solves").add(1);
-  const linalg::LanczosOptions lanczos = lanczos_options_for(options, n, m);
-  if (info != nullptr) info->used = KleBackend::kLanczos;
+// One eigensolve stage: its telemetry name and how it produces the leading
+// eigenpairs. Lanczos stages fill the LanczosInfo they are handed.
+struct Stage {
+  std::string_view name;
+  std::function<linalg::SymmetricEigenResult(linalg::LanczosInfo*)> run;
+};
 
-  // Stage 1: hierarchical compression. kOverloaded (memory budget) and
-  // kNoConvergence degrade to the exact matvec; anything else is a real
-  // error and propagates.
-  {
-    linalg::LanczosInfo lanczos_info;
-    try {
-      if (info != nullptr) info->hmat_attempted = true;
-      const std::unique_ptr<linalg::HMatrix> hmat =
-          build_hmat_operator(mesh, kernel, options.matfree);
-      if (info != nullptr) info->hmat = hmat->stats();
-      linalg::SymmetricEigenResult eigen =
-          linalg::lanczos_largest(*hmat, lanczos, &lanczos_info);
-      if (info != nullptr) {
-        info->lanczos = lanczos_info;
-        info->operator_used = "hmat";
-      }
-      return eigen;
-    } catch (const Error& e) {
-      if (e.code() != ErrorCode::kNoConvergence &&
-          e.code() != ErrorCode::kOverloaded)
-        throw;
-      if (info != nullptr) {
-        info->lanczos = lanczos_info;
-        info->hmat_failed = true;
-        info->hmat_failure_reason = e.what();
-      }
-      obs::counter("sckl.core.kle_matfree_fallbacks").add(1);
-    }
+// Records a stage failure that hands on to the next stage. The "hmat"
+// stage hands on to the exact operator, which reaches the same spectrum,
+// so only the other stages count as a fallback (the one the KLE health
+// report warns about).
+void record_failure(const Stage& stage, const Error& e, KleSolveInfo* info) {
+  const bool hmat = stage.name == "hmat";
+  obs::counter(hmat ? "sckl.core.kle_matfree_fallbacks"
+                    : "sckl.core.kle_fallbacks")
+      .add(1);
+  if (info == nullptr) return;
+  if (hmat) {
+    info->hmat_failure_reason = e.what();
+  } else {
+    info->fallback = true;
+    info->fallback_reason = e.what();
   }
-
-  // Stage 2: exact matvec — same memory envelope, O(n^2) kernel
-  // evaluations per iteration instead of the compressed apply.
-  {
-    const ExactKernelOperator exact(mesh, kernel,
-                                    options.matfree.num_threads);
-    linalg::LanczosInfo lanczos_info;
-    try {
-      linalg::SymmetricEigenResult eigen =
-          linalg::lanczos_largest(exact, lanczos, &lanczos_info);
-      if (info != nullptr) {
-        info->lanczos = lanczos_info;
-        info->operator_used = "exact";
-      }
-      return eigen;
-    } catch (const Error& e) {
-      if (e.code() != ErrorCode::kNoConvergence) throw;
-      if (info != nullptr) {
-        info->lanczos = lanczos_info;
-        info->fallback = true;
-        info->fallback_reason = e.what();
-      }
-      obs::counter("sckl.core.kle_fallbacks").add(1);
-      // The dense stage allocates 8 n^2 bytes — the exact thing this mode
-      // exists to avoid. Refuse beyond the configured ceiling.
-      if (n > options.matfree.dense_fallback_max_n)
-        throw Error(
-            "solve_kle: matrix-free Lanczos did not converge and n = " +
-                std::to_string(n) + " exceeds dense_fallback_max_n = " +
-                std::to_string(options.matfree.dense_fallback_max_n) +
-                " (refusing the n^2 dense fallback); original failure: " +
-                e.what(),
-            ErrorCode::kNoConvergence);
-    }
-  }
-
-  // Stage 3: assembled dense solve (small n only).
-  if (info != nullptr) {
-    info->used = KleBackend::kDense;
-    info->operator_used = "dense";
-  }
-  return dense_eigensolve(assemble_checked(mesh, kernel, options.quadrature));
 }
 
 }  // namespace
@@ -238,46 +177,71 @@ KleResult solve_kle(const mesh::TriMesh& mesh,
   require(m > 0, "solve_kle: need at least one eigenpair");
   obs::Span span("core.solve_kle");
   obs::counter("sckl.core.kle_solves").add(1);
-  if (info != nullptr) {
-    *info = KleSolveInfo{};
-    info->requested = options.backend;
+  if (info != nullptr) *info = KleSolveInfo{};
+  const bool matrix_free = options.operator_mode == OperatorMode::kMatrixFree;
+  if (matrix_free) {
+    require(options.quadrature == QuadratureRule::kCentroid1,
+            "solve_kle: the matrix-free path evaluates centroid-rule entries "
+            "on the fly and supports no other quadrature");
+    obs::counter("sckl.core.kle_matfree_solves").add(1);
   }
 
-  linalg::SymmetricEigenResult eigen;
-  if (options.operator_mode == OperatorMode::kMatrixFree) {
-    obs::Span eigensolve_span("core.eigensolve");
-    eigen = solve_matrix_free(mesh, kernel, options, n, m, info);
+  // kAssembled assembles B before the eigensolve; under kMatrixFree only
+  // the QL stage assembles it, on demand.
+  std::optional<linalg::Matrix> b;
+  const auto assembled = [&]() -> const linalg::Matrix& {
+    if (!b) b = assemble_checked(mesh, kernel, options.quadrature);
+    return *b;
+  };
+  const linalg::LanczosOptions lanczos = lanczos_options_for(options, n, m);
+  const Stage ql{"ql", [&](linalg::LanczosInfo*) {
+                   return dense_eigensolve(assembled());
+                 }};
+  std::vector<Stage> stages;
+  if (matrix_free) {
+    stages.push_back({"hmat", [&](linalg::LanczosInfo* lanczos_info) {
+      const std::unique_ptr<linalg::HMatrix> hmat =
+          build_hmat_operator(mesh, kernel, options.matfree);
+      if (info != nullptr) info->hmat = hmat->stats();
+      return linalg::lanczos_largest(*hmat, lanczos, lanczos_info);
+    }});
+    stages.push_back({"exact", [&](linalg::LanczosInfo* lanczos_info) {
+      const ExactKernelOperator exact(mesh, kernel,
+                                      options.matfree.num_threads);
+      return linalg::lanczos_largest(exact, lanczos, lanczos_info);
+    }});
+    if (n <= kDenseFallbackMaxN) stages.push_back(ql);
   } else {
-    const linalg::Matrix b =
-        assemble_checked(mesh, kernel, options.quadrature);
+    assembled();
+    if (m * 3 < n)
+      stages.push_back({"dense", [&](linalg::LanczosInfo* lanczos_info) {
+        return linalg::lanczos_largest(linalg::DenseKernelOperator(*b),
+                                       lanczos, lanczos_info);
+      }});
+    stages.push_back(ql);
+  }
 
-    KleBackend backend = options.backend;
-    if (backend == KleBackend::kAuto)
-      backend = (m * 3 < n) ? KleBackend::kLanczos : KleBackend::kDense;
-    if (info != nullptr) info->used = backend;
-
-    obs::Span eigensolve_span("core.eigensolve");
-    if (backend == KleBackend::kLanczos) {
-      const linalg::LanczosOptions lanczos = lanczos_options_for(options, n, m);
-      linalg::LanczosInfo lanczos_info;
-      try {
-        eigen = linalg::lanczos_largest(b, lanczos, &lanczos_info);
-        if (info != nullptr) info->lanczos = lanczos_info;
-      } catch (const Error& e) {
-        // Fallback chain: a non-convergent Lanczos costs us the fast path,
-        // not the result — rerun with the O(n^3) dense solver and record why.
-        if (e.code() != ErrorCode::kNoConvergence) throw;
-        if (info != nullptr) {
-          info->lanczos = lanczos_info;
-          info->used = KleBackend::kDense;
-          info->fallback = true;
-          info->fallback_reason = e.what();
-        }
-        obs::counter("sckl.core.kle_fallbacks").add(1);
-        eigen = dense_eigensolve(b);
-      }
-    } else {
-      eigen = dense_eigensolve(b);
+  obs::Span eigensolve_span("core.eigensolve");
+  linalg::LanczosInfo* lanczos_info =
+      info != nullptr ? &info->lanczos : nullptr;
+  linalg::SymmetricEigenResult eigen;
+  for (std::size_t s = 0;; ++s) {
+    try {
+      eigen = stages[s].run(lanczos_info);
+      if (info != nullptr) info->operator_used = stages[s].name;
+      break;
+    } catch (const Error& e) {
+      const bool last = s + 1 == stages.size();
+      if ((e.code() != ErrorCode::kNoConvergence &&
+           e.code() != ErrorCode::kOverloaded) ||
+          (last && stages[s].name == ql.name))
+        throw;
+      record_failure(stages[s], e, info);
+      if (last)
+        throw e.with_context(
+            "solve_kle: n = " + std::to_string(n) +
+            " exceeds kDenseFallbackMaxN = " +
+            std::to_string(kDenseFallbackMaxN) + ", so no QL fallback");
     }
   }
 

@@ -13,23 +13,17 @@
 //   - the reconstruction operator D_lambda = D_r sqrt(Lambda_r) of eq. 28.
 #pragma once
 
-#include <memory>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 
 #include "core/galerkin.h"
-#include "core/matfree_operator.h"
 #include "geometry/spatial_grid.h"
+#include "linalg/hmat.h"
 #include "linalg/lanczos.h"
 
 namespace sckl::core {
-
-/// Eigensolver backend selection.
-enum class KleBackend {
-  kAuto,    // Lanczos when m << n, dense otherwise
-  kDense,   // Householder + QL on the full matrix
-  kLanczos, // iterative, top-m only
-};
 
 /// How the Galerkin operator is realized for the eigensolve.
 enum class OperatorMode {
@@ -37,43 +31,52 @@ enum class OperatorMode {
   /// fine up to ~10^4 triangles where 8 n^2 bytes stops fitting).
   kAssembled,
   /// Never materialize the matrix: Lanczos runs on the hierarchical
-  /// ACA-compressed operator, falling back to the exact on-the-fly matvec
-  /// and finally (only when n <= matfree.dense_fallback_max_n) to the
-  /// assembled path. Eigenvalue-accurate to the ACA tolerance but not
-  /// bit-stable across configurations — see DESIGN.md §14. The centroid
-  /// quadrature rule is implied; `backend` is ignored (Lanczos is the only
-  /// matrix-free eigensolver).
+  /// ACA-compressed operator, then on the exact on-the-fly matvec, and
+  /// finally (only when n <= kDenseFallbackMaxN) QL on the assembled
+  /// matrix. Eigenvalue-accurate to the ACA tolerance but not bit-stable
+  /// across configurations — see DESIGN.md §14. The centroid quadrature
+  /// rule is implied.
   kMatrixFree,
 };
+
+/// Largest n for which a kMatrixFree solve may still fall back to QL on
+/// the assembled matrix (8 n^2 bytes). Above it, a solve whose Lanczos
+/// stages all fail throws instead.
+inline constexpr std::size_t kDenseFallbackMaxN = 20'000;
 
 /// Options for solve_kle().
 struct KleOptions {
   std::size_t num_eigenpairs = 200;  // m: how many pairs to compute
   QuadratureRule quadrature = QuadratureRule::kCentroid1;
-  KleBackend backend = KleBackend::kAuto;
   std::uint64_t lanczos_seed = 42;
+  /// Lanczos subspace cap (0 = the solver's default min(n, 2m + 160)). At
+  /// million-triangle n the Krylov basis (8n bytes per vector) dominates
+  /// memory; m plus a small margin is usually enough for the fast-decaying
+  /// spectra of smooth kernels.
+  std::size_t lanczos_max_subspace = 0;
   OperatorMode operator_mode = OperatorMode::kAssembled;
-  MatfreeOptions matfree;  // tuning of the kMatrixFree path
+  /// H-matrix build of the kMatrixFree path; its num_threads also drives
+  /// the exact matvec.
+  linalg::HmatOptions matfree;
 };
 
-/// Telemetry of one solve_kle() call: which backend actually produced the
-/// result, whether the Lanczos -> dense fallback chain fired and why, and
-/// the negative-eigenvalue clamp accounting of the returned spectrum. Pass
-/// the optional out-parameter to record it; solving is unaffected.
+/// Telemetry of one solve_kle() call: which eigensolve stage produced the
+/// result, which stages failed before it and why, and the
+/// negative-eigenvalue clamp accounting of the returned spectrum. Pass the
+/// optional out-parameter to record it; solving is unaffected.
 struct KleSolveInfo {
-  KleBackend requested = KleBackend::kAuto;  // backend the caller asked for
-  KleBackend used = KleBackend::kDense;      // backend that produced λ, d
-  bool fallback = false;              // Lanczos failed, dense recovered
-  std::string fallback_reason;        // what() of the Lanczos failure
-  linalg::LanczosInfo lanczos;        // iteration telemetry (when attempted)
+  /// Stage that produced λ, d: "dense" (Lanczos on the assembled matrix),
+  /// "hmat", "exact" (Lanczos on the matrix-free operators) or "ql"
+  /// (Householder-QL on the assembled matrix).
+  std::string operator_used;
+  bool fallback = false;        // Lanczos on "dense"/"exact" failed
+  std::string fallback_reason;  // what() of that failure
+  linalg::LanczosInfo lanczos;  // latest Lanczos attempt, if any
   std::size_t clamped_eigenvalues = 0;  // trailing negatives clamped to 0
   double clamped_magnitude = 0.0;       // total magnitude removed by clamping
 
-  // Matrix-free telemetry (operator_mode == kMatrixFree only).
-  std::string operator_used;        // "hmat", "exact", or "dense"
-  bool hmat_attempted = false;      // a hierarchical build was tried
-  bool hmat_failed = false;         // it failed; chain moved to exact matvec
-  std::string hmat_failure_reason;  // what() of that failure
+  // The "hmat" stage (operator_mode == kMatrixFree only).
+  std::string hmat_failure_reason;  // what() of its failure; empty if none
   linalg::HmatStats hmat;           // compression stats of a completed build
 };
 
@@ -159,17 +162,17 @@ class KleResult {
 /// Computes the KLE of `kernel` on `mesh`. The mesh must outlive the result
 /// (see the KleResult lifetime contract above).
 ///
-/// Resilience: a Galerkin matrix containing NaN/Inf is rejected up front
-/// (sckl::Error, code kNonFinite) instead of letting NaN propagate into the
-/// spectrum. When the Lanczos backend fails to converge (kNoConvergence),
-/// the solve is retried with the dense backend and the fallback is recorded
-/// in `info` — callers lose speed, not the answer.
-///
-/// With operator_mode == kMatrixFree the fallback chain is: hierarchical
-/// ACA operator -> exact on-the-fly matvec -> assembled dense solve, where
-/// the final dense stage only engages when n <= matfree.dense_fallback_max_n
-/// (above that the solve throws rather than allocate n^2 doubles). Each hop
-/// is recorded in `info` (hmat_failed / fallback / operator_used).
+/// The eigensolve is one ordered list of stages, tried in turn:
+///   kAssembled:  Lanczos on the assembled matrix ("dense", only when
+///                3m < n), then "ql".
+///   kMatrixFree: Lanczos on the H-matrix ("hmat"), then on the exact
+///                matvec ("exact"), then "ql" (only when
+///                n <= kDenseFallbackMaxN).
+/// A stage that fails with kNoConvergence or kOverloaded (over its memory
+/// budget) is recorded in `info` and the next stage runs — callers lose
+/// speed, not the answer. Any other error, and the failure of the last
+/// stage, propagates. A Galerkin matrix containing NaN/Inf is rejected
+/// (sckl::Error, code kNonFinite) instead of letting NaN reach the spectrum.
 KleResult solve_kle(const mesh::TriMesh& mesh,
                     const kernels::CovarianceKernel& kernel,
                     const KleOptions& options = {},

@@ -111,7 +111,7 @@ void ExactKernelOperator::apply(const linalg::Vector& x,
 
 std::unique_ptr<linalg::HMatrix> build_hmat_operator(
     const mesh::TriMesh& mesh, const kernels::CovarianceKernel& kernel,
-    const MatfreeOptions& options) {
+    const linalg::HmatOptions& options) {
   const GalerkinEntrySource source(mesh, kernel);
   const auto& centroids = mesh.centroids();
   std::vector<double> xs(centroids.size()), ys(centroids.size());
@@ -119,14 +119,7 @@ std::unique_ptr<linalg::HMatrix> build_hmat_operator(
     xs[i] = centroids[i].x;
     ys[i] = centroids[i].y;
   }
-  linalg::HmatOptions hopt;
-  hopt.leaf_size = options.leaf_size;
-  hopt.admissibility = options.admissibility;
-  hopt.aca_tolerance = options.aca_tolerance;
-  hopt.max_rank = options.max_rank;
-  hopt.num_threads = options.num_threads;
-  hopt.max_bytes = options.max_bytes;
-  return std::make_unique<linalg::HMatrix>(source, xs, ys, hopt);
+  return std::make_unique<linalg::HMatrix>(source, xs, ys, options);
 }
 
 }  // namespace sckl::core

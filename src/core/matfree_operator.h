@@ -3,8 +3,8 @@
 // With the centroid rule the Galerkin matrix is pointwise explicit,
 // B_ik = K(c_i, c_k) sqrt(a_i a_k) (eq. 21), so Lanczos never needs it
 // materialized: the entries can be produced on the fly from the mesh and
-// kernel. This header provides the two matrix-free KernelOperator backends
-// solve_kle's OperatorMode selects between:
+// kernel. This header provides the two matrix-free KernelOperators that
+// solve_kle's kMatrixFree stages run Lanczos on, H-matrix first:
 //
 //  - ExactKernelOperator: the exact matvec, tiled into panels that are
 //    evaluated into a scratch tile and multiplied with the dispatched GEMM
@@ -50,36 +50,6 @@ class GalerkinEntrySource final : public linalg::EntrySource {
   std::vector<double> sqrt_area_;
 };
 
-/// Tuning of the matrix-free solve path (a member of core::KleOptions).
-struct MatfreeOptions {
-  /// Relative per-block ACA tolerance of the hierarchical operator. The
-  /// spectral perturbation of the eigensolve is of this order, so keep it
-  /// a couple of digits tighter than the eigenvalue accuracy you need.
-  double aca_tolerance = 1e-8;
-  /// Tile-tree leaf size (near-field tile edge).
-  std::size_t leaf_size = 64;
-  /// Admissibility parameter eta of the tile tree (see linalg/hmat.h).
-  double admissibility = 2.0;
-  /// Per-block ACA rank cap.
-  std::size_t max_rank = 96;
-  /// Worker threads for operator build and apply: 0 = auto (SCKL_THREADS,
-  /// else hardware concurrency), 1 = serial.
-  std::size_t num_threads = 1;
-  /// Hard ceiling on the compressed operator's storage in bytes; the build
-  /// throws kOverloaded beyond it and solve_kle falls back to the exact
-  /// matvec. 0 = unbounded.
-  std::size_t max_bytes = 0;
-  /// Lanczos subspace cap override for the matrix-free path (0 = the
-  /// solver's default min(n, 2m + 160)). At million-triangle n the basis
-  /// dominates memory — m + a small margin is usually enough for the
-  /// fast-decaying spectra of smooth kernels.
-  std::size_t lanczos_max_subspace = 0;
-  /// Largest n the ACA -> exact -> dense fallback chain may still
-  /// materialize the dense matrix for. Above this, a failed matrix-free
-  /// solve throws instead of allocating n^2 doubles.
-  std::size_t dense_fallback_max_n = 20'000;
-};
-
 /// Exact matrix-free matvec: y_i = sum_k K(c_i, c_k) sqrt(a_i a_k) x_k,
 /// computed tile by tile through the blocked GEMM kernels. Borrows mesh and
 /// kernel — both must outlive the operator.
@@ -104,6 +74,6 @@ class ExactKernelOperator final : public linalg::KernelOperator {
 /// build; the returned operator is self-contained.
 std::unique_ptr<linalg::HMatrix> build_hmat_operator(
     const mesh::TriMesh& mesh, const kernels::CovarianceKernel& kernel,
-    const MatfreeOptions& options = {});
+    const linalg::HmatOptions& options = {});
 
 }  // namespace sckl::core

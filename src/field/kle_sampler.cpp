@@ -11,6 +11,11 @@ KleFieldSampler::KleFieldSampler(const core::KleResult& kle, std::size_t r,
                "field.reconstruct.kle", "sckl.field.samples.kle");
 }
 
+std::size_t KleFieldSampler::matrix_bytes() const {
+  const linalg::Matrix& op_t = operator_transposed();
+  return field_.matrix_bytes() + op_t.rows() * op_t.cols() * sizeof(double);
+}
+
 KleFieldSampler::KleFieldSampler(const store::StoredKleResult& stored,
                                  std::size_t r,
                                  const std::vector<geometry::Point2>& locations)

@@ -32,6 +32,10 @@ class KleFieldSampler final : public LinearFieldSampler {
 
   const core::KleField& field() const { return field_; }
 
+  /// Bytes of every matrix this sampler holds (the field's G and G^T plus
+  /// the installed reconstruction operator) — what a cache should charge.
+  std::size_t matrix_bytes() const;
+
   /// Locations that were outside every mesh triangle and got resolved to
   /// the nearest one (see core::KleField::out_of_mesh_count()).
   std::size_t out_of_mesh_count() const { return field_.out_of_mesh_count(); }

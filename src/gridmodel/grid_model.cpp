@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "linalg/blas.h"
 #include "linalg/symmetric_eigen.h"
 
 namespace sckl::gridmodel {

@@ -24,78 +24,4 @@ void scale(double alpha, Vector& x) {
   for (auto& value : x) value *= alpha;
 }
 
-Vector gemv(const Matrix& a, const Vector& x) {
-  require(a.cols() == x.size(), "gemv: shape mismatch");
-  Vector y(a.rows(), 0.0);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const double* row = a.row_ptr(r);
-    double sum = 0.0;
-    for (std::size_t c = 0; c < a.cols(); ++c) sum += row[c] * x[c];
-    y[r] = sum;
-  }
-  return y;
-}
-
-Vector gemv_transposed(const Matrix& a, const Vector& x) {
-  require(a.rows() == x.size(), "gemv_transposed: shape mismatch");
-  Vector y(a.cols(), 0.0);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const double* row = a.row_ptr(r);
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    for (std::size_t c = 0; c < a.cols(); ++c) y[c] += xr * row[c];
-  }
-  return y;
-}
-
-Matrix gemm(const Matrix& a, const Matrix& b) {
-  require(a.cols() == b.rows(), "gemm: shape mismatch");
-  Matrix c(a.rows(), b.cols());
-  // i-k-j ordering: the inner loop is a contiguous axpy over C's row, which
-  // vectorizes well for row-major storage.
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    double* crow = c.row_ptr(i);
-    const double* arow = a.row_ptr(i);
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = arow[k];
-      if (aik == 0.0) continue;
-      const double* brow = b.row_ptr(k);
-      for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
-    }
-  }
-  return c;
-}
-
-Matrix gemm_bt(const Matrix& a, const Matrix& b) {
-  require(a.cols() == b.cols(), "gemm_bt: shape mismatch");
-  Matrix c(a.rows(), b.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.row_ptr(i);
-    double* crow = c.row_ptr(i);
-    for (std::size_t j = 0; j < b.rows(); ++j) {
-      const double* brow = b.row_ptr(j);
-      double sum = 0.0;
-      for (std::size_t k = 0; k < a.cols(); ++k) sum += arow[k] * brow[k];
-      crow[j] = sum;
-    }
-  }
-  return c;
-}
-
-Matrix gram(const Matrix& a) {
-  Matrix g(a.cols(), a.cols());
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const double* row = a.row_ptr(r);
-    for (std::size_t i = 0; i < a.cols(); ++i) {
-      const double ri = row[i];
-      if (ri == 0.0) continue;
-      double* grow = g.row_ptr(i);
-      for (std::size_t j = i; j < a.cols(); ++j) grow[j] += ri * row[j];
-    }
-  }
-  for (std::size_t i = 0; i < a.cols(); ++i)
-    for (std::size_t j = 0; j < i; ++j) g(i, j) = g(j, i);
-  return g;
-}
-
 }  // namespace sckl::linalg

@@ -1,9 +1,6 @@
-// Level-1/2/3 dense kernels used throughout the library.
-//
-// gemm is a blocked i-k-j loop ordering (row-major friendly); on the Monte
-// Carlo sampler's N x N_g workloads it is the dominant cost of Algorithm 1,
-// exactly as in the paper, so it is written to stream rows and let the
-// compiler vectorize the innermost axpy.
+// Level-1 vector kernels (dot, norm, axpy, scale) for the Lanczos
+// iteration and the H-matrix. Matrix products live in linalg/gemm.h, whose
+// dispatched kernels are the only GEMM/GEMV in the library.
 #pragma once
 
 #include <cstddef>
@@ -23,21 +20,5 @@ void axpy(double alpha, const Vector& x, Vector& y);
 
 /// x *= alpha.
 void scale(double alpha, Vector& x);
-
-/// y = A * x (A: m x n, x: n, y: m).
-Vector gemv(const Matrix& a, const Vector& x);
-
-/// y = A^T * x (A: m x n, x: m, y: n).
-Vector gemv_transposed(const Matrix& a, const Vector& x);
-
-/// C = A * B (A: m x k, B: k x n).
-Matrix gemm(const Matrix& a, const Matrix& b);
-
-/// C = A * B^T (A: m x k, B: n x k). Used by samplers that multiply by a
-/// factor stored row-major (avoids materializing the transpose).
-Matrix gemm_bt(const Matrix& a, const Matrix& b);
-
-/// C = A^T * A (Gram matrix of columns), exploiting symmetry.
-Matrix gram(const Matrix& a);
 
 }  // namespace sckl::linalg

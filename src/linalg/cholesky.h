@@ -3,7 +3,8 @@
 // Algorithm 1 of the paper factors the N_g x N_g gate-location covariance
 // matrix once and multiplies every Monte Carlo sample block by the upper
 // factor U (K = U^T U). We store the lower factor L (K = L L^T); U = L^T, so
-// sampling uses gemm_bt with L directly.
+// the Cholesky sampler installs L^T as its reconstruction operator and each
+// sample block is one dispatched GEMM (linalg/gemm.h).
 //
 // Failure diagnostics: a non-SPD input is reported with the index and value
 // of the failing pivot (the eliminated diagonal entry that came out

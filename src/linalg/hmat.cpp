@@ -16,6 +16,14 @@
 namespace sckl::linalg {
 namespace {
 
+// Admissibility parameter eta of the block partition: a larger eta accepts
+// closer (coarser) far-field blocks — less memory, higher block ranks.
+constexpr double kHmatAdmissibility = 2.0;
+
+// Per-block ACA rank cap (safety valve; counted in stats.rank_cap_hits when
+// hit, which signals the tolerance was not reached on that block).
+constexpr std::size_t kHmatMaxRank = 96;
+
 double box_diameter(const TileNode& node) {
   return std::hypot(node.max_x - node.min_x, node.max_y - node.min_y);
 }
@@ -256,11 +264,8 @@ HMatrix::HMatrix(const EntrySource& source, const std::vector<double>& xs,
     : tree_(xs, ys, std::max<std::size_t>(options.leaf_size, 1)) {
   require(source.dim() == xs.size(),
           "HMatrix: source dimension must match the point count");
-  require(options.admissibility > 0.0,
-          "HMatrix: admissibility parameter must be positive");
   require(options.aca_tolerance > 0.0,
           "HMatrix: ACA tolerance must be positive");
-  require(options.max_rank > 0, "HMatrix: rank cap must be positive");
   obs::Span span("linalg.hmat.build");
 
   inv_perm_.resize(tree_.num_points());
@@ -271,7 +276,7 @@ HMatrix::HMatrix(const EntrySource& source, const std::vector<double>& xs,
   // upper triangle. Pass 2 (parallel): fill each block independently — the
   // factors are a pure function of (source, block), so the build is
   // deterministic for any worker count.
-  enumerate_blocks(0, 0, options.admissibility, options.leaf_size);
+  enumerate_blocks(0, 0, kHmatAdmissibility, options.leaf_size);
 
   const std::size_t threads = std::min<std::size_t>(
       ThreadPool::resolve_num_threads(options.num_threads), blocks_.size());
@@ -407,7 +412,7 @@ void HMatrix::fill_block(const EntrySource& source, Block& block,
   if (block.lowrank) {
     AcaResult aca =
         aca_compress(source, rows.data(), m, cols.data(), n,
-                     options.aca_tolerance, options.max_rank);
+                     options.aca_tolerance, kHmatMaxRank);
     block.u = std::move(aca.u);
     block.v = std::move(aca.v);
     block.aca_converged = aca.converged;

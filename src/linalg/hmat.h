@@ -99,19 +99,16 @@ class TileTree {
   std::size_t num_leaves_ = 0;
 };
 
-/// Tuning knobs of the hierarchical build.
+/// Tuning knobs of the hierarchical build. The admissibility parameter
+/// eta (2) and the per-block rank cap (96) are fixed in hmat.cpp.
 struct HmatOptions {
   /// Tile tree leaf size: near-field dense tiles are at most this square.
   std::size_t leaf_size = 64;
-  /// Admissibility parameter eta: larger accepts closer (coarser) far-field
-  /// blocks — less memory, higher per-block ranks. Must be > 0.
-  double admissibility = 2.0;
   /// Relative Frobenius-norm tolerance of each ACA-compressed block:
-  /// ||A_block - U V^T||_F <~ aca_tolerance * ||A_block||_F.
-  double aca_tolerance = 1e-7;
-  /// Per-block rank cap (safety valve; counted in stats.rank_cap_hits when
-  /// hit, which signals the tolerance was not reached on that block).
-  std::size_t max_rank = 96;
+  /// ||A_block - U V^T||_F <~ aca_tolerance * ||A_block||_F. The spectral
+  /// perturbation of a KLE eigensolve is of this order, so keep it a couple
+  /// of digits tighter than the eigenvalue accuracy you need.
+  double aca_tolerance = 1e-8;
   /// Worker threads for the block build and apply: 0 = auto (SCKL_THREADS
   /// env, else hardware concurrency), 1 = serial.
   std::size_t num_threads = 1;
@@ -131,7 +128,7 @@ struct HmatStats {
   std::size_t compressed_bytes = 0;  // factor + dense-tile storage
   std::size_t max_rank = 0;          // largest ACA rank over all blocks
   double mean_rank = 0.0;            // mean ACA rank over low-rank blocks
-  std::size_t rank_cap_hits = 0;     // blocks stopped by max_rank, not tol
+  std::size_t rank_cap_hits = 0;     // blocks stopped by the rank cap, not tol
   /// compressed_bytes / (8 n^2): fraction of the dense footprint.
   double compression = 0.0;
 };

@@ -55,7 +55,7 @@ SymmetricEigenResult lanczos_largest(const KernelOperator& op,
   max_m = std::max(max_m, k);
 
   // Deterministic fault: pretend the spectrum is too hard and the iteration
-  // never converges, so the caller's fallback chain (solve_kle -> dense) is
+  // never converges, so the caller's fallback (solve_kle's next stage) is
   // exercised on demand.
   const bool forced_failure =
       robust::fault_injected(robust::FaultSite::kLanczosConvergence);
@@ -122,7 +122,8 @@ SymmetricEigenResult lanczos_largest(const KernelOperator& op,
   ensure(m >= k, "lanczos: subspace smaller than requested eigenpair count");
   {
     // Counted before the convergence verdict so failed solves (which throw
-    // below and fall back to the dense path) still show up in the totals.
+    // below and hand on to solve_kle's next stage) still show up in the
+    // totals.
     static obs::Counter& solves = obs::counter("sckl.linalg.lanczos.solves");
     static obs::Counter& iters = obs::counter("sckl.linalg.lanczos.iterations");
     static obs::Counter& matvecs = obs::counter("sckl.linalg.lanczos.matvecs");
@@ -192,40 +193,6 @@ SymmetricEigenResult lanczos_largest(const KernelOperator& op,
       result.vectors(row, i) = y[row] / norm;
   }
   return result;
-}
-
-namespace {
-
-// Closure adapter so legacy callers keep the MatVec signature while the
-// iteration itself only ever sees KernelOperator.
-class FunctionOperator final : public KernelOperator {
- public:
-  FunctionOperator(const MatVec& apply, std::size_t n)
-      : apply_(apply), n_(n) {}
-  std::size_t dim() const override { return n_; }
-  void apply(const Vector& x, Vector& y) const override { apply_(x, y); }
-  const char* name() const override { return "closure"; }
-
- private:
-  const MatVec& apply_;
-  std::size_t n_;
-};
-
-}  // namespace
-
-SymmetricEigenResult lanczos_largest(const MatVec& apply, std::size_t n,
-                                     const LanczosOptions& options,
-                                     LanczosInfo* info) {
-  return lanczos_largest(FunctionOperator(apply, n), options, info);
-}
-
-SymmetricEigenResult lanczos_largest(const Matrix& a,
-                                     const LanczosOptions& options,
-                                     LanczosInfo* info) {
-  require(a.rows() == a.cols(), "lanczos: matrix must be square");
-  // The dense matvec is DenseKernelOperator — the dispatched SIMD gemv
-  // kernels, where cold KLE solves spend their time.
-  return lanczos_largest(DenseKernelOperator(a), options, info);
 }
 
 }  // namespace sckl::linalg

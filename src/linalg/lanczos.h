@@ -3,29 +3,25 @@
 //
 // The paper computes only the first 200 eigenpairs of the n = 1546 Galerkin
 // matrix (MATLAB eigs, 11.2 s); this is our equivalent fast path. The
-// operator is supplied as a matvec closure so both dense matrices and
-// matrix-free kernels (K(c_i, c_k) sqrt(a_i a_k) evaluated on the fly) can
-// be used without materializing n^2 storage.
+// operator is a KernelOperator (y = A x), so the dense matrix and the
+// matrix-free kernels (K(c_i, c_k) sqrt(a_i a_k) evaluated on the fly or
+// ACA-compressed) run the identical iteration.
 //
 // Failure semantics: when the subspace limit is reached before the requested
 // pairs converge, the final Ritz extraction is accepted as best effort only
 // if every requested pair's residual is within `best_effort_tolerance`;
 // otherwise lanczos_largest throws sckl::Error with code kNoConvergence
-// (solve_kle catches exactly that code and retries with the dense backend).
+// (solve_kle catches that code and hands on to its next eigensolve stage).
 // The optional LanczosInfo out-parameter records what happened either way.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "linalg/kernel_operator.h"
 #include "linalg/symmetric_eigen.h"
 
 namespace sckl::linalg {
-
-/// y = A * x for a symmetric operator of dimension n.
-using MatVec = std::function<void(const Vector& x, Vector& y)>;
 
 /// Options controlling the Lanczos iteration.
 struct LanczosOptions {
@@ -58,22 +54,9 @@ struct LanczosInfo {
 /// Computes the largest eigenpairs of the symmetric operator `op`.
 /// Eigenvalues descend; column j of `vectors` holds the Ritz vector for
 /// values[j]. Throws sckl::Error (code kNoConvergence) when the subspace
-/// limit is reached and the best-effort residual check fails. This is the
-/// one Lanczos implementation — the overloads below only adapt their input
-/// into a KernelOperator, so dense matrices, on-the-fly kernel matvecs, and
-/// hierarchical compressions all run the identical iteration.
+/// limit is reached and the best-effort residual check fails. A dense
+/// matrix runs through DenseKernelOperator (the dispatched SIMD gemv).
 SymmetricEigenResult lanczos_largest(const KernelOperator& op,
-                                     const LanczosOptions& options = {},
-                                     LanczosInfo* info = nullptr);
-
-/// Convenience overload for a matvec closure of dimension n.
-SymmetricEigenResult lanczos_largest(const MatVec& apply, std::size_t n,
-                                     const LanczosOptions& options = {},
-                                     LanczosInfo* info = nullptr);
-
-/// Convenience overload for a dense symmetric matrix (runs through
-/// DenseKernelOperator, i.e. the dispatched SIMD gemv kernels).
-SymmetricEigenResult lanczos_largest(const Matrix& a,
                                      const LanczosOptions& options = {},
                                      LanczosInfo* info = nullptr);
 

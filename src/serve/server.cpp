@@ -409,13 +409,15 @@ void Server::worker_loop() {
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
 
-      Request& head = batch.front();
-      if (head.type == MessageType::kSampleBlock && options_.batch_limit > 1) {
+      if (batch.front().type == MessageType::kSampleBlock &&
+          options_.batch_limit > 1) {
+        // A copy: push_back below may reallocate batch under batch.front().
+        const std::uint64_t head_key = batch.front().batch_key;
         const auto collect = [&] {
           for (auto it = queue_.begin();
                it != queue_.end() && batch.size() < options_.batch_limit;) {
             if (it->type == MessageType::kSampleBlock &&
-                it->batch_key == head.batch_key) {
+                it->batch_key == head_key) {
               batch.push_back(std::move(*it));
               it = queue_.erase(it);
             } else {
@@ -631,13 +633,7 @@ std::shared_ptr<const field::KleFieldSampler> Server::sampler_for(
       store_->get_or_compute(request.config, *kernel);
   auto sampler = std::make_shared<const field::KleFieldSampler>(
       *fetch.artifact, static_cast<std::size_t>(request.r), request.locations);
-  // Charge: the gathered per-location KLE rows dominate (n_locations x r
-  // doubles) plus per-location bookkeeping.
-  const std::size_t bytes =
-      request.locations.size() *
-          (static_cast<std::size_t>(request.r) * sizeof(double) + 32) +
-      1024;
-  sampler_cache_.put(key, sampler, bytes);
+  sampler_cache_.put(key, sampler, sampler->matrix_bytes());
   return sampler;
 }
 

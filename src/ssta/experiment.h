@@ -79,7 +79,7 @@ struct ExperimentConfig {
   /// was solved with). See core::OperatorMode::kMatrixFree.
   bool matrix_free = false;
   /// Relative ACA block tolerance when matrix_free is set (--aca-tol);
-  /// 0 = the core::MatfreeOptions default.
+  /// 0 = the linalg::HmatOptions default.
   double aca_tolerance = 0.0;
 };
 
@@ -156,7 +156,7 @@ struct KleRunRequest {
   store::KleArtifactStore* store = nullptr;  // store-fetch path
   /// Fresh-solve path only: solve matrix-free (see ExperimentConfig).
   bool matrix_free = false;
-  double aca_tolerance = 0.0;  // 0 = core::MatfreeOptions default
+  double aca_tolerance = 0.0;  // 0 = linalg::HmatOptions default
   /// Additionally run core::check_kle_health into the outcome's info.
   bool validate = false;
   /// Forwarded to McSstaOptions::cancelled: polled between Monte Carlo

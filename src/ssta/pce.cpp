@@ -8,7 +8,6 @@
 #include "obs/stopwatch.h"
 #include "field/field_sampler.h"
 #include "field/lhs.h"
-#include "linalg/blas.h"
 #include "linalg/cholesky.h"
 #include "linalg/gemm.h"
 
@@ -171,8 +170,8 @@ PceAnalysis fit_worst_delay_pce(const timing::StaEngine& engine,
 
   // Normal equations with jitter (the Hermite design is well conditioned
   // for n >> b, but stratified samples can introduce mild collinearity).
-  linalg::Matrix gram = linalg::gram(design);
-  linalg::Vector rhs = linalg::gemv_transposed(design, response);
+  linalg::Matrix gram = linalg::gemm_fast(design.transposed(), design);
+  linalg::Vector rhs = linalg::gemv_transposed_fast(design, response);
   const auto factor = linalg::cholesky_with_jitter(std::move(gram));
   const linalg::Vector coefficients = factor.factor.solve(rhs);
 

@@ -4,13 +4,17 @@
 //  - Galerkin assembly symmetry/PSD structure,
 //  - KLE eigenvalues/eigenfunctions against the analytic solution of the
 //    separable exponential kernel (the only closed-form 2-D case, Sec. 3.1),
+//  - solve_kle's stages against QL on the assembled matrix, bit for bit
+//    where QL is the route, and across SIMD targets on the paper mesh,
 //  - Phi-orthonormality of the computed eigenfunctions,
 //  - the truncation-selection rule,
 //  - kernel reconstruction error (the Fig. 3b experiment in miniature),
 //  - the KleField reduced reconstruction operator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -22,6 +26,9 @@
 #include "core/truncation.h"
 #include "kernels/kernel_fit.h"
 #include "kernels/kernel_library.h"
+#include "linalg/gemm.h"
+#include "linalg/symmetric_eigen.h"
+#include "mesh/refine.h"
 #include "mesh/structured_mesher.h"
 
 namespace sckl::core {
@@ -202,7 +209,6 @@ TEST(KleSolver, MatchesAnalyticSeparableKernel) {
       BoundingBox::unit_die(), 16, 16, mesh::StructuredPattern::kCross);
   KleOptions options;
   options.num_eigenpairs = 10;
-  options.backend = KleBackend::kLanczos;
   const KleResult kle = solve_kle(mesh, kernel, options);
   const auto analytic = analytic_separable_kle_2d(c, 1.0, 10);
   for (std::size_t j = 0; j < 6; ++j) {
@@ -212,19 +218,73 @@ TEST(KleSolver, MatchesAnalyticSeparableKernel) {
   }
 }
 
-TEST(KleSolver, DenseAndLanczosBackendsAgree) {
+TEST(KleSolver, LanczosRouteMatchesDenseReference) {
   const kernels::GaussianKernel kernel(2.33);
   const mesh::TriMesh mesh = mesh::structured_mesh(
       BoundingBox::unit_die(), 8, 8, mesh::StructuredPattern::kDiagonal);
-  KleOptions dense;
-  dense.num_eigenpairs = 12;
-  dense.backend = KleBackend::kDense;
-  KleOptions lanczos = dense;
-  lanczos.backend = KleBackend::kLanczos;
-  const KleResult a = solve_kle(mesh, kernel, dense);
-  const KleResult b = solve_kle(mesh, kernel, lanczos);
+  const linalg::SymmetricEigenResult dense = linalg::symmetric_eigen(
+      assemble_galerkin_matrix(mesh, kernel, QuadratureRule::kCentroid1));
+  KleOptions options;
+  options.num_eigenpairs = 12;
+  KleSolveInfo info;
+  const KleResult kle = solve_kle(mesh, kernel, options, &info);
+  EXPECT_EQ(info.operator_used, "dense");
   for (std::size_t j = 0; j < 12; ++j)
-    EXPECT_NEAR(a.eigenvalue(j), b.eigenvalue(j), 1e-7 * a.eigenvalue(0));
+    EXPECT_NEAR(kle.eigenvalue(j), dense.values[j], 1e-7 * dense.values[0]);
+}
+
+TEST(KleSolver, QlRouteIsTheDenseReferenceBitForBit) {
+  // m = n/2 fails the 3m < n Lanczos rule, so the only stage is QL on the
+  // assembled matrix: the result is that reference, un-scaled, to the bit.
+  const kernels::GaussianKernel kernel(2.33);
+  const mesh::TriMesh mesh = mesh::structured_mesh(
+      BoundingBox::unit_die(), 6, 6, mesh::StructuredPattern::kDiagonal);
+  const std::size_t n = mesh.num_triangles();
+  const linalg::SymmetricEigenResult dense = linalg::symmetric_eigen(
+      assemble_galerkin_matrix(mesh, kernel, QuadratureRule::kCentroid1));
+  KleOptions options;
+  options.num_eigenpairs = n / 2;
+  KleSolveInfo info;
+  const KleResult kle = solve_kle(mesh, kernel, options, &info);
+  EXPECT_EQ(info.operator_used, "ql");
+  ASSERT_EQ(kle.num_eigenpairs(), n / 2);
+  for (std::size_t j = 0; j < n / 2; ++j) {
+    EXPECT_EQ(kle.eigenvalue(j), std::max(dense.values[j], 0.0)) << j;
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(kle.coefficient(i, j),
+                dense.vectors(i, j) * (1.0 / std::sqrt(mesh.area(i))))
+          << "triangle " << i << " pair " << j;
+  }
+}
+
+TEST(KleSolver, BitIdenticalAcrossSimdTargets) {
+  // The paper mesh and the ssta_flow default m = 50: assembly and Lanczos
+  // on the dispatched gemv give the same bits on every SIMD target.
+  const kernels::GaussianKernel kernel(kernels::paper_gaussian_c());
+  const mesh::TriMesh mesh =
+      mesh::paper_mesh(BoundingBox::unit_die(), 0.001, 8);
+  KleOptions options;
+  options.num_eigenpairs = 50;
+  std::optional<KleResult> reference;
+  for (const linalg::SimdTarget target :
+       {linalg::SimdTarget::kScalar, linalg::SimdTarget::kAvx2,
+        linalg::SimdTarget::kAvx512}) {
+    if (!linalg::simd_target_supported(target)) continue;
+    linalg::set_simd_target(target);
+    const KleResult kle = solve_kle(mesh, kernel, options);
+    linalg::reset_simd_target();
+    if (!reference) {
+      reference.emplace(kle);
+      continue;
+    }
+    const char* name = linalg::simd_target_name(target);
+    for (std::size_t j = 0; j < 50; ++j) {
+      ASSERT_EQ(kle.eigenvalue(j), reference->eigenvalue(j)) << name << j;
+      for (std::size_t i = 0; i < mesh.num_triangles(); ++i)
+        ASSERT_EQ(kle.coefficient(i, j), reference->coefficient(i, j))
+            << name << " triangle " << i << " pair " << j;
+    }
+  }
 }
 
 TEST(KleSolver, EigenfunctionsArePhiOrthonormal) {
@@ -233,7 +293,6 @@ TEST(KleSolver, EigenfunctionsArePhiOrthonormal) {
       BoundingBox::unit_die(), 9, 9, mesh::StructuredPattern::kDiagonal);
   KleOptions options;
   options.num_eigenpairs = 8;
-  options.backend = KleBackend::kDense;
   const KleResult kle = solve_kle(mesh, kernel, options);
   for (std::size_t p = 0; p < 8; ++p) {
     for (std::size_t q = p; q < 8; ++q) {

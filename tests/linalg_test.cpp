@@ -1,15 +1,17 @@
-// Tests for src/linalg: matrix container, BLAS kernels, Cholesky, the
-// symmetric eigensolvers (QL, Jacobi, Lanczos) against each other and
-// against analytically known spectra.
+// Tests for src/linalg: matrix container, level-1 kernels, Cholesky, the
+// symmetric eigensolvers (QL, Lanczos) against each other, against the
+// test-only Jacobi oracle and against analytically known spectra.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "jacobi_eigen.h"
 #include "linalg/blas.h"
 #include "linalg/cholesky.h"
-#include "linalg/jacobi_eigen.h"
+#include "linalg/gemm.h"
+#include "linalg/kernel_operator.h"
 #include "linalg/lanczos.h"
 #include "linalg/matrix.h"
 #include "linalg/symmetric_eigen.h"
@@ -27,7 +29,7 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
 // Random symmetric positive-definite matrix A = B B^T + n*I.
 Matrix random_spd(std::size_t n, Rng& rng) {
   const Matrix b = random_matrix(n, n, rng);
-  Matrix a = gemm_bt(b, b);
+  Matrix a = gemm_fast(b, b.transposed());
   for (std::size_t i = 0; i < n; ++i) a(i, i) += static_cast<double>(n);
   return a;
 }
@@ -86,11 +88,11 @@ TEST(Blas, DotNormAxpyScale) {
 TEST(Blas, GemvAgainstHandComputed) {
   const Matrix a = Matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}});
   const Vector x = {1.0, -1.0};
-  const Vector y = gemv(a, x);
+  const Vector y = gemv_fast(a, x);
   ASSERT_EQ(y.size(), 3u);
   EXPECT_DOUBLE_EQ(y[0], -1.0);
   EXPECT_DOUBLE_EQ(y[2], -1.0);
-  const Vector z = gemv_transposed(a, {1.0, 1.0, 1.0});
+  const Vector z = gemv_transposed_fast(a, {1.0, 1.0, 1.0});
   EXPECT_DOUBLE_EQ(z[0], 9.0);
   EXPECT_DOUBLE_EQ(z[1], 12.0);
 }
@@ -99,7 +101,7 @@ TEST(Blas, GemmMatchesManualProduct) {
   Rng rng(3);
   const Matrix a = random_matrix(4, 6, rng);
   const Matrix b = random_matrix(6, 5, rng);
-  const Matrix c = gemm(a, b);
+  const Matrix c = gemm_fast(a, b);
   for (std::size_t i = 0; i < 4; ++i)
     for (std::size_t j = 0; j < 5; ++j) {
       double expected = 0.0;
@@ -108,29 +110,11 @@ TEST(Blas, GemmMatchesManualProduct) {
     }
 }
 
-TEST(Blas, GemmBtEqualsGemmWithTranspose) {
-  Rng rng(4);
-  const Matrix a = random_matrix(3, 7, rng);
-  const Matrix b = random_matrix(5, 7, rng);
-  const Matrix direct = gemm_bt(a, b);
-  const Matrix via_transpose = gemm(a, b.transposed());
-  EXPECT_LT(direct.max_abs_diff(via_transpose), 1e-12);
-}
-
-TEST(Blas, GramMatchesAtA) {
-  Rng rng(5);
-  const Matrix a = random_matrix(6, 4, rng);
-  const Matrix g = gram(a);
-  const Matrix expected = gemm(a.transposed(), a);
-  EXPECT_LT(g.max_abs_diff(expected), 1e-12);
-  EXPECT_TRUE(is_symmetric(g, 1e-12));
-}
-
 TEST(Cholesky, ReconstructsInput) {
   Rng rng(6);
   const Matrix a = random_spd(12, rng);
   const CholeskyFactor f = cholesky(a);
-  const Matrix rebuilt = gemm_bt(f.lower, f.lower);
+  const Matrix rebuilt = gemm_fast(f.lower, f.lower.transposed());
   EXPECT_LT(rebuilt.max_abs_diff(a) / frobenius_norm(a), 1e-12);
   // Strict upper triangle of L is zero.
   for (std::size_t i = 0; i < 12; ++i)
@@ -143,7 +127,7 @@ TEST(Cholesky, SolveInvertsMultiplication) {
   const Matrix a = random_spd(9, rng);
   const CholeskyFactor f = cholesky(a);
   const Vector x_true = rng.normal_vector(9);
-  const Vector b = gemv(a, x_true);
+  const Vector b = gemv_fast(a, x_true);
   const Vector x = f.solve(b);
   for (std::size_t i = 0; i < 9; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-8);
 }
@@ -168,7 +152,8 @@ TEST(Cholesky, JitterRecoversSemidefinite) {
     for (std::size_t j = 0; j < 3; ++j) a(i, j) = v[i] * v[j];
   const JitteredCholesky jc = cholesky_with_jitter(a);
   EXPECT_GT(jc.jitter, 0.0);
-  const Matrix rebuilt = gemm_bt(jc.factor.lower, jc.factor.lower);
+  const Matrix rebuilt =
+      gemm_fast(jc.factor.lower, jc.factor.lower.transposed());
   EXPECT_LT(rebuilt.max_abs_diff(a), 1e-4);
 }
 
@@ -199,11 +184,11 @@ void expect_valid_decomposition(const Matrix& a,
   for (std::size_t j = 0; j < r.values.size(); ++j) {
     Vector v(n);
     for (std::size_t i = 0; i < n; ++i) v[i] = r.vectors(i, j);
-    const Vector av = gemv(a, v);
+    const Vector av = gemv_fast(a, v);
     for (std::size_t i = 0; i < n; ++i)
       EXPECT_NEAR(av[i], r.values[j] * v[i], tol) << "pair " << j;
   }
-  const Matrix vtv = gram(r.vectors);
+  const Matrix vtv = gemm_fast(r.vectors.transposed(), r.vectors);
   EXPECT_LT(vtv.max_abs_diff(Matrix::identity(r.values.size())), tol);
 }
 
@@ -287,7 +272,8 @@ TEST(Lanczos, TopPairsMatchDenseSolver) {
   const SymmetricEigenResult dense = symmetric_eigen(a);
   LanczosOptions options;
   options.num_eigenpairs = 8;
-  const SymmetricEigenResult lz = lanczos_largest(a, options);
+  const SymmetricEigenResult lz =
+      lanczos_largest(DenseKernelOperator(a), options);
   ASSERT_EQ(lz.values.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i)
     EXPECT_NEAR(lz.values[i], dense.values[i], 1e-7 * dense.values[0]);
@@ -295,7 +281,7 @@ TEST(Lanczos, TopPairsMatchDenseSolver) {
   for (std::size_t j = 0; j < 8; ++j) {
     Vector v(60);
     for (std::size_t i = 0; i < 60; ++i) v[i] = lz.vectors(i, j);
-    const Vector av = gemv(a, v);
+    const Vector av = gemv_fast(a, v);
     for (std::size_t i = 0; i < 60; ++i)
       EXPECT_NEAR(av[i], lz.values[j] * v[i], 1e-6 * dense.values[0]);
   }
@@ -303,15 +289,19 @@ TEST(Lanczos, TopPairsMatchDenseSolver) {
 
 TEST(Lanczos, MatrixFreeOperatorInterface) {
   // Operator: diagonal {10, 9, ..., 1} without materializing a matrix.
-  const std::size_t n = 10;
-  const MatVec apply = [n](const Vector& x, Vector& y) {
-    y.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      y[i] = static_cast<double>(n - i) * x[i];
+  class Diagonal final : public KernelOperator {
+   public:
+    std::size_t dim() const override { return 10; }
+    void apply(const Vector& x, Vector& y) const override {
+      y.resize(10);
+      for (std::size_t i = 0; i < 10; ++i)
+        y[i] = static_cast<double>(10 - i) * x[i];
+    }
+    const char* name() const override { return "diagonal"; }
   };
   LanczosOptions options;
   options.num_eigenpairs = 3;
-  const SymmetricEigenResult r = lanczos_largest(apply, n, options);
+  const SymmetricEigenResult r = lanczos_largest(Diagonal(), options);
   EXPECT_NEAR(r.values[0], 10.0, 1e-9);
   EXPECT_NEAR(r.values[1], 9.0, 1e-9);
   EXPECT_NEAR(r.values[2], 8.0, 1e-9);
@@ -323,7 +313,8 @@ TEST(Lanczos, HandlesRepeatedEigenvaluesViaRestart) {
   a(0, 0) = 2.0;
   LanczosOptions options;
   options.num_eigenpairs = 4;
-  const SymmetricEigenResult r = lanczos_largest(a, options);
+  const SymmetricEigenResult r =
+      lanczos_largest(DenseKernelOperator(a), options);
   EXPECT_NEAR(r.values[0], 2.0, 1e-9);
   for (std::size_t i = 1; i < 4; ++i) EXPECT_NEAR(r.values[i], 1.0, 1e-9);
 }

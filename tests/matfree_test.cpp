@@ -1,8 +1,9 @@
 // Tests for the matrix-free operator layer (DESIGN.md §14): tile-tree
 // partition invariants, the ACA error bound on admissible blocks, the
 // hierarchical operator against densely assembled entries, the exact
-// on-the-fly matvec, and solve_kle's kMatrixFree path (eigenvalue accuracy
-// against the dense solve, and the ACA -> exact fallback hop).
+// on-the-fly matvec, and solve_kle's kMatrixFree stages (eigenvalue accuracy
+// against the dense solve and the analytic separable KLE at n = 10^4, and
+// the ACA -> exact hand-on).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,8 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "core/analytic_kle.h"
+#include "core/galerkin.h"
 #include "core/kle_solver.h"
 #include "core/matfree_operator.h"
 #include "kernels/kernel_fit.h"
@@ -21,6 +24,7 @@
 #include "linalg/hmat.h"
 #include "linalg/kernel_operator.h"
 #include "linalg/lanczos.h"
+#include "linalg/symmetric_eigen.h"
 #include "mesh/structured_mesher.h"
 
 namespace sckl {
@@ -55,6 +59,15 @@ std::pair<std::vector<double>, std::vector<double>> random_points(
     ys[i] = rng.uniform();
   }
   return {xs, ys};
+}
+
+// Dense reference spectrum: QL on the assembled centroid-rule matrix.
+Vector dense_eigenvalues(const mesh::TriMesh& mesh,
+                         const kernels::CovarianceKernel& kernel) {
+  return linalg::symmetric_eigen(
+             core::assemble_galerkin_matrix(mesh, kernel,
+                                            core::QuadratureRule::kCentroid1))
+      .values;
 }
 
 Matrix materialize(const linalg::EntrySource& source) {
@@ -336,10 +349,7 @@ TEST(SolveKleMatrixFree, EigenvaluesMatchDense) {
   ASSERT_LE(mesh.num_triangles(), 2000u);
   const kernels::GaussianKernel kernel(kernels::paper_gaussian_c());
 
-  core::KleOptions dense_options;
-  dense_options.num_eigenpairs = 25;
-  dense_options.backend = core::KleBackend::kDense;
-  const core::KleResult dense = core::solve_kle(mesh, kernel, dense_options);
+  const Vector dense = dense_eigenvalues(mesh, kernel);
 
   core::KleOptions mf_options;
   mf_options.num_eigenpairs = 25;
@@ -349,15 +359,14 @@ TEST(SolveKleMatrixFree, EigenvaluesMatchDense) {
   const core::KleResult mf = core::solve_kle(mesh, kernel, mf_options, &info);
 
   EXPECT_EQ(info.operator_used, "hmat");
-  EXPECT_TRUE(info.hmat_attempted);
-  EXPECT_FALSE(info.hmat_failed);
+  EXPECT_TRUE(info.hmat_failure_reason.empty());
   EXPECT_GT(info.hmat.lowrank_blocks, 0u);
 
-  ASSERT_EQ(mf.num_eigenpairs(), dense.num_eigenpairs());
-  const double lead = dense.eigenvalue(0);
+  ASSERT_EQ(mf.num_eigenpairs(), 25u);
+  const double lead = dense[0];
   ASSERT_GT(lead, 0.0);
-  for (std::size_t j = 0; j < dense.num_eigenpairs(); ++j) {
-    const double reference = dense.eigenvalue(j);
+  for (std::size_t j = 0; j < mf.num_eigenpairs(); ++j) {
+    const double reference = std::max(dense[j], 0.0);
     const double got = mf.eigenvalue(j);
     // Relative per-pair gate; pairs that have decayed below the dense
     // solver's own noise floor are compared relative to lambda_0 instead.
@@ -382,18 +391,39 @@ TEST(SolveKleMatrixFree, BudgetFallsBackToExactOperator) {
   options.matfree.max_bytes = 1024;
   core::KleSolveInfo info;
   const core::KleResult mf = core::solve_kle(mesh, kernel, options, &info);
-  EXPECT_TRUE(info.hmat_attempted);
-  EXPECT_TRUE(info.hmat_failed);
   EXPECT_EQ(info.operator_used, "exact");
   EXPECT_FALSE(info.hmat_failure_reason.empty());
+  EXPECT_FALSE(info.fallback);
 
-  core::KleOptions dense_options;
-  dense_options.num_eigenpairs = 10;
-  dense_options.backend = core::KleBackend::kDense;
-  const core::KleResult dense = core::solve_kle(mesh, kernel, dense_options);
+  const Vector dense = dense_eigenvalues(mesh, kernel);
   for (std::size_t j = 0; j < 10; ++j)
-    EXPECT_NEAR(mf.eigenvalue(j), dense.eigenvalue(j),
-                1e-8 * dense.eigenvalue(0));
+    EXPECT_NEAR(mf.eigenvalue(j), dense[j], 1e-8 * dense[0]);
+}
+
+// The analytic oracle at the scale the matrix-free route exists for: the
+// separable L1 exponential kernel on a 10^4-triangle cross mesh, whose
+// Galerkin eigenvalues converge to products of the 1-D analytic modes.
+TEST(SolveKleMatrixFree, MatchesAnalyticSeparableKernelAtTenThousand) {
+  const double c = 1.0;
+  const kernels::SeparableL1Kernel kernel(c);
+  const mesh::TriMesh mesh = mesh::structured_mesh(
+      geometry::BoundingBox::unit_die(), 50, 50,
+      mesh::StructuredPattern::kCross);
+  ASSERT_EQ(mesh.num_triangles(), 10'000u);
+
+  core::KleOptions options;
+  options.num_eigenpairs = 10;
+  options.operator_mode = core::OperatorMode::kMatrixFree;
+  options.matfree.num_threads = 2;
+  core::KleSolveInfo info;
+  const core::KleResult kle = core::solve_kle(mesh, kernel, options, &info);
+  EXPECT_EQ(info.operator_used, "hmat");
+
+  const auto analytic = core::analytic_separable_kle_2d(c, 1.0, 10);
+  for (std::size_t j = 0; j < 10; ++j)
+    EXPECT_NEAR(kle.eigenvalue(j), analytic[j].lambda,
+                1e-3 * analytic[0].lambda)
+        << "eigenpair " << j;
 }
 
 TEST(SolveKleMatrixFree, RejectsNonCentroidQuadrature) {
@@ -404,7 +434,12 @@ TEST(SolveKleMatrixFree, RejectsNonCentroidQuadrature) {
   options.num_eigenpairs = 5;
   options.operator_mode = core::OperatorMode::kMatrixFree;
   options.quadrature = core::QuadratureRule::kSymmetric3;
-  EXPECT_THROW(core::solve_kle(mesh, kernel, options), Error);
+  try {
+    core::solve_kle(mesh, kernel, options);
+    FAIL() << "expected kPrecondition";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kPrecondition);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "kernels/kernel_fit.h"
 #include "kernels/kernel_library.h"
 #include "linalg/blas.h"
+#include "linalg/gemm.h"
 #include "linalg/generalized_eigen.h"
 #include "mesh/structured_mesher.h"
 
@@ -25,7 +26,7 @@ Matrix random_spd(std::size_t n, Rng& rng, double ridge) {
   Matrix b(n, n);
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c) b(r, c) = rng.normal();
-  Matrix a = linalg::gemm_bt(b, b);
+  Matrix a = linalg::gemm_fast(b, b.transposed());
   for (std::size_t i = 0; i < n; ++i) a(i, i) += ridge;
   return a;
 }
@@ -40,12 +41,12 @@ TEST(TriangularSolve, ForwardAndBackwardInvertCholesky) {
   Matrix x = rhs;
   linalg::solve_lower_triangular_inplace(f.lower, x);
   // L x should reproduce rhs.
-  const Matrix lx = linalg::gemm(f.lower, x);
+  const Matrix lx = linalg::gemm_fast(f.lower, x);
   EXPECT_LT(lx.max_abs_diff(rhs), 1e-10);
 
   Matrix y = rhs;
   linalg::solve_lower_transposed_inplace(f.lower, y);
-  const Matrix lty = linalg::gemm(f.lower.transposed(), y);
+  const Matrix lty = linalg::gemm_fast(f.lower.transposed(), y);
   EXPECT_LT(lty.max_abs_diff(rhs), 1e-10);
 }
 
@@ -68,8 +69,8 @@ TEST(GeneralizedEigen, SatisfiesDefinitionAndMOrthonormality) {
   for (std::size_t j = 0; j < 12; ++j) {
     Vector d(12);
     for (std::size_t i = 0; i < 12; ++i) d[i] = result.vectors(i, j);
-    const Vector ad = linalg::gemv(a, d);
-    const Vector md = linalg::gemv(m, d);
+    const Vector ad = linalg::gemv_fast(a, d);
+    const Vector md = linalg::gemv_fast(m, d);
     for (std::size_t i = 0; i < 12; ++i)
       EXPECT_NEAR(ad[i], result.values[j] * md[i],
                   1e-8 * std::abs(result.values[0]))
@@ -79,7 +80,7 @@ TEST(GeneralizedEigen, SatisfiesDefinitionAndMOrthonormality) {
   for (std::size_t p = 0; p < 12; ++p) {
     Vector dp(12);
     for (std::size_t i = 0; i < 12; ++i) dp[i] = result.vectors(i, p);
-    const Vector mdp = linalg::gemv(m, dp);
+    const Vector mdp = linalg::gemv_fast(m, dp);
     for (std::size_t q = p; q < 12; ++q) {
       Vector dq(12);
       for (std::size_t i = 0; i < 12; ++i) dq[i] = result.vectors(i, q);
@@ -158,7 +159,6 @@ TEST(P1Kle, MoreAccurateThanP0AtEqualMesh) {
 
   core::KleOptions p0_options;
   p0_options.num_eigenpairs = 5;
-  p0_options.backend = core::KleBackend::kDense;
   const core::KleResult p0 = core::solve_kle(mesh, kernel, p0_options);
 
   core::P1KleOptions p1_options;
@@ -202,7 +202,6 @@ TEST(P1Kle, KernelReconstructionBeatsP0Pointwise) {
 
   core::KleOptions p0_options;
   p0_options.num_eigenpairs = 25;
-  p0_options.backend = core::KleBackend::kDense;
   const core::KleResult p0 = core::solve_kle(mesh, kernel, p0_options);
   core::P1KleOptions p1_options;
   p1_options.num_eigenpairs = 25;

@@ -82,7 +82,6 @@ TEST_P(KleInvariantTest, EigenfunctionsPhiOrthonormal) {
       mesh::StructuredPattern::kDiagonal);
   core::KleOptions options;
   options.num_eigenpairs = 10;
-  options.backend = core::KleBackend::kDense;
   const core::KleResult kle = core::solve_kle(mesh, *kernel, options);
   for (std::size_t p = 0; p < 10; ++p) {
     for (std::size_t q = p; q < 10; ++q) {

@@ -1,7 +1,7 @@
 // Tests for the solver resilience layer: deterministic fault injection,
 // error codes + context chaining, health reports, bounded retry, and —
 // most importantly — every fallback chain exercised end-to-end:
-//   Lanczos non-convergence  -> dense eigensolver (KleSolveInfo telemetry)
+//   Lanczos non-convergence  -> QL eigensolve stage (KleSolveInfo telemetry)
 //   non-SPD mass matrix      -> cholesky_with_jitter (GeneralizedEigenInfo)
 //   transient store read     -> bounded retry -> fresh solve (StoreHealth)
 //   corrupt artifact         -> quarantine to <key>.sckl.bad -> fresh solve
@@ -26,6 +26,7 @@
 #include "kernels/kernel_library.h"
 #include "linalg/cholesky.h"
 #include "linalg/generalized_eigen.h"
+#include "linalg/kernel_operator.h"
 #include "linalg/lanczos.h"
 #include "linalg/symmetric_eigen.h"
 #include "mesh/structured_mesher.h"
@@ -398,7 +399,7 @@ TEST(LanczosResilienceTest, ConvergedSolveReportsResiduals) {
   options.num_eigenpairs = 8;
   linalg::LanczosInfo info;
   const linalg::SymmetricEigenResult result =
-      linalg::lanczos_largest(b, options, &info);
+      linalg::lanczos_largest(linalg::DenseKernelOperator(b), options, &info);
   EXPECT_TRUE(info.converged);
   EXPECT_FALSE(info.fault_injected);
   EXPECT_EQ(info.rejected_pairs, 0u);
@@ -417,7 +418,7 @@ TEST(LanczosResilienceTest, InjectedNonConvergenceThrowsNoConvergence) {
   robust::ScopedFaultPlan plan("lanczos_convergence:1");
   linalg::LanczosInfo info;
   try {
-    linalg::lanczos_largest(b, options, &info);
+    linalg::lanczos_largest(linalg::DenseKernelOperator(b), options, &info);
     FAIL() << "expected throw";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kNoConvergence);
@@ -427,42 +428,39 @@ TEST(LanczosResilienceTest, InjectedNonConvergenceThrowsNoConvergence) {
   EXPECT_FALSE(info.converged);
 }
 
-TEST(KleSolverTest, LanczosFailureFallsBackToDenseWithSameSpectrum) {
+TEST(KleSolverTest, LanczosFailureFallsBackToQlWithSameSpectrum) {
   const mesh::TriMesh mesh = small_mesh(300);
   const kernels::GaussianKernel kernel(2.0);
-  core::KleOptions dense_options;
-  dense_options.num_eigenpairs = 12;
-  dense_options.backend = core::KleBackend::kDense;
-  const core::KleResult reference = core::solve_kle(mesh, kernel, dense_options);
+  const linalg::SymmetricEigenResult reference =
+      linalg::symmetric_eigen(core::assemble_galerkin_matrix(
+          mesh, kernel, core::QuadratureRule::kCentroid1));
 
-  core::KleOptions lanczos_options = dense_options;
-  lanczos_options.backend = core::KleBackend::kLanczos;
+  core::KleOptions options;
+  options.num_eigenpairs = 12;
   robust::ScopedFaultPlan plan("lanczos_convergence:1");
   core::KleSolveInfo info;
   const core::KleResult recovered =
-      core::solve_kle(mesh, kernel, lanczos_options, &info);
+      core::solve_kle(mesh, kernel, options, &info);
 
-  // The chain fired and was recorded...
-  EXPECT_EQ(info.requested, core::KleBackend::kLanczos);
-  EXPECT_EQ(info.used, core::KleBackend::kDense);
+  // The Lanczos stage failed, QL recovered, and both were recorded...
+  EXPECT_EQ(info.operator_used, "ql");
   EXPECT_TRUE(info.fallback);
   EXPECT_TRUE(info.lanczos.fault_injected);
   EXPECT_NE(info.fallback_reason.find("lanczos"), std::string::npos);
   // ...and the recovered spectrum matches the dense reference exactly.
-  ASSERT_EQ(recovered.num_eigenpairs(), reference.num_eigenpairs());
+  ASSERT_EQ(recovered.num_eigenpairs(), 12u);
   for (std::size_t j = 0; j < recovered.num_eigenpairs(); ++j)
-    EXPECT_NEAR(recovered.eigenvalue(j), reference.eigenvalue(j), 1e-12);
+    EXPECT_NEAR(recovered.eigenvalue(j), reference.values[j], 1e-12);
 }
 
-TEST(KleSolverTest, CleanLanczosSolveRecordsBackendAndClampAccounting) {
+TEST(KleSolverTest, CleanLanczosSolveRecordsStageAndClampAccounting) {
   const mesh::TriMesh mesh = small_mesh(300);
   const kernels::GaussianKernel kernel(2.0);
   core::KleOptions options;
   options.num_eigenpairs = 12;
-  options.backend = core::KleBackend::kLanczos;
   core::KleSolveInfo info;
   const core::KleResult kle = core::solve_kle(mesh, kernel, options, &info);
-  EXPECT_EQ(info.used, core::KleBackend::kLanczos);
+  EXPECT_EQ(info.operator_used, "dense");
   EXPECT_FALSE(info.fallback);
   EXPECT_EQ(info.clamped_eigenvalues, kle.clamped_count());
   EXPECT_DOUBLE_EQ(info.clamped_magnitude, kle.clamped_magnitude());

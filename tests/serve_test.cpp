@@ -456,6 +456,40 @@ TEST_F(ServeTest, SampleBlockChunkingPreservesBits) {
             0);
 }
 
+TEST_F(ServeTest, SamplerCacheChargeCoversEverySamplerMatrix) {
+  // A budget a few samplers wide and more distinct location sets than fit:
+  // the resident samplers' matrices must stay within the budget.
+  serve::ServerOptions options;
+  options.sampler_cache_bytes = 200'000;
+  start(options);
+  serve::Client c = client();
+  serve::SampleBlockRequest request = sample_request(0, 4);
+  for (int set = 0; set < 8; ++set) {
+    request.locations = test_locations(400);
+    for (geometry::Point2& p : request.locations) p.y -= 0.01 * set;
+    c.sample_matrix(request);
+  }
+
+  // The matrix bytes of one such sampler, summed from its public accessors.
+  store::KleArtifactStore local(options_.store_root);
+  const auto kernel = store::make_kernel(request.config.kernel_id,
+                                         request.config.kernel_params);
+  const store::FetchResult fetch = local.get_or_compute(request.config, *kernel);
+  const field::KleFieldSampler sampler(*fetch.artifact, request.r,
+                                       request.locations);
+  const auto bytes = [](const linalg::Matrix& m) {
+    return m.rows() * m.cols() * sizeof(double);
+  };
+  const std::size_t held = bytes(sampler.field().location_operator()) +
+                           bytes(sampler.operator_transposed());
+
+  const store::CacheStats stats = server_->sampler_cache_stats();
+  EXPECT_GT(stats.evictions, 0u);
+  ASSERT_GT(stats.entries, 0u);
+  EXPECT_LE(stats.entries * held, stats.byte_budget)
+      << stats.entries << " resident samplers of " << held << " bytes";
+}
+
 TEST_F(ServeTest, ConcurrentClientsEachGetExactBits) {
   start();
   {

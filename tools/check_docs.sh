@@ -57,7 +57,7 @@ require_in() {
 require_in DESIGN.md "^## 14\. Matrix-free KLE" "the §14 matrix-free section header"
 for token in "src/linalg/hmat" "src/core/matfree_operator" \
              "KernelOperator" "ExactKernelOperator" "aca_tolerance" \
-             "admissibility" "dense_fallback_max_n" "bench_matfree"; do
+             "admissibility" "kDenseFallbackMaxN" "bench_matfree"; do
   require_in DESIGN.md "$token" "a §14 matrix-free inventory token"
 done
 require_in README.md "\-\-matrix-free" "the matrix-free flag documentation"
