@@ -81,8 +81,6 @@ void ExperimentFlagSet::apply(const CliFlags& flags) {
   fsck = flags.get_bool("fsck", fsck);
   run_id = flags.get_string("run-id", run_id);
   resume = flags.get_bool("resume", resume);
-  lease_ttl_ms = static_cast<std::uint64_t>(get_size(flags, "lease-ttl",
-      static_cast<std::size_t>(lease_ttl_ms)));
   matrix_free = flags.get_bool("matrix-free", matrix_free);
   aca_tol = flags.get_double("aca-tol", aca_tol);
   require(aca_tol >= 0.0, "ExperimentFlagSet: --aca-tol must be >= 0");

@@ -48,7 +48,7 @@ class CliFlags {
 ///
 ///   --circuit=NAME  --samples=N  --r=N  --seed=N  --threads=K
 ///   --block-samples=N  --store=DIR  --validate  --strict  --fsck
-///   --run-id=NAME   --resume     --lease-ttl=MS
+///   --run-id=NAME   --resume
 ///   --matrix-free   --aca-tol=EPS
 ///   --trace         --trace-json=PATH
 ///
@@ -81,10 +81,6 @@ struct ExperimentFlagSet {
   /// completed leases instead of rejecting it.
   std::string run_id;
   bool resume = false;
-  /// Lease time-to-live in milliseconds for checkpointed runs
-  /// (--lease-ttl): a claimed lease not completed or heartbeat-extended
-  /// within this budget is reclaimed and recomputed. Must be > 0.
-  std::uint64_t lease_ttl_ms = 300'000;
   /// Matrix-free KLE solve (--matrix-free): Lanczos runs on the
   /// hierarchical ACA-compressed Galerkin operator instead of assembling
   /// the dense n x n matrix — the scaling path past ~10^4 triangles

@@ -91,7 +91,7 @@ class RunningStats {
 /// deterministic function of its operation sequence: the same adds and
 /// merges in the same order always yield the identical state, which is what
 /// lets a resumed Monte Carlo run reproduce an uninterrupted run's sketch
-/// bit for bit (blocks are folded in block order; see ssta/mc_run.h).
+/// bit for bit (leases are folded in lease order; see ssta/mc_run.h).
 ///
 /// Accuracy: while count() <= capacity() the sketch is exact (everything
 /// still sits in level 0); beyond that, quantile() carries the usual KLL

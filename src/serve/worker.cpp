@@ -211,9 +211,7 @@ WorkerReport run_worker(const WorkerOptions& options) {
     Clock::time_point last_heartbeat = Clock::now();
 
     ssta::detail::BlockScratch scratch;
-    bool run_live = true;
     for (const WireLease& lease : granted.leases) {
-      if (!run_live) break;  // terminal state seen mid-batch: stop computing
       obs::Span lease_span("serve.mc_worker.lease");
       lease_span.set_tag(lease.index);
       if (robust::fault_injected(robust::FaultSite::kMcWorkerStall)) {
@@ -224,43 +222,38 @@ WorkerReport run_worker(const WorkerOptions& options) {
             workload->lease_ttl_ms + workload->lease_ttl_ms / 4 + 1));
       }
 
-      ssta::detail::BlockPartial lease_partial;
-      lease_partial.worst_delay_sketch =
-          QuantileSketch(workload->mc.sketch_capacity);
-      ssta::detail::BlockPartial block_partial;
-      for (std::uint64_t b = 0; b < lease.num_blocks; ++b) {
-        robust::crash_point(robust::FaultSite::kMcWorkerCrash);
-        if (Clock::now() - last_heartbeat >= heartbeat_every) {
-          HeartbeatRequest hb;
-          hb.run_id = options.run_id;
-          hb.worker_id = report.worker_id;
-          hb.config_hash = workload->config_hash;
-          const HeartbeatReply pulse =
-              session.rpc([&](Client& c) { return c.heartbeat(hb); });
-          ++report.heartbeats;
-          obs::counter("sckl.ssta.mc.remote.worker_heartbeats").add(1);
-          last_heartbeat = Clock::now();
-          if (pulse.run_state != RunState::kRunning) {
-            run_live = false;  // finished or restarting: discard this lease
-            break;
-          }
-        }
-        block_partial = ssta::detail::BlockPartial{};
-        ssta::detail::compute_block_partial(
-            workload->pipeline->engine(), samplers, workload->mc,
-            static_cast<std::size_t>(lease.first_block + b),
-            workload->num_endpoints, scratch, block_partial, nullptr);
-        lease_partial.merge(block_partial);
-        ++report.blocks_computed;
-      }
+      // The heartbeat check runs before each block; a run that stopped
+      // being kRunning (finished or restarting) abandons the lease, whose
+      // incomplete partial is never published.
+      const std::optional<ssta::detail::BlockPartial> lease_partial =
+          ssta::detail::compute_lease_partial(
+              workload->pipeline->engine(), samplers, workload->mc,
+              static_cast<std::size_t>(lease.first_block),
+              static_cast<std::size_t>(lease.num_blocks),
+              workload->num_endpoints, scratch, nullptr, [&] {
+                if (Clock::now() - last_heartbeat >= heartbeat_every) {
+                  HeartbeatRequest hb;
+                  hb.run_id = options.run_id;
+                  hb.worker_id = report.worker_id;
+                  hb.config_hash = workload->config_hash;
+                  const HeartbeatReply pulse =
+                      session.rpc([&](Client& c) { return c.heartbeat(hb); });
+                  ++report.heartbeats;
+                  obs::counter("sckl.ssta.mc.remote.worker_heartbeats").add(1);
+                  last_heartbeat = Clock::now();
+                  if (pulse.run_state != RunState::kRunning) return false;
+                }
+                ++report.blocks_computed;
+                return true;
+              });
+      if (!lease_partial.has_value()) break;
 
-      if (!run_live) break;  // the partial is incomplete; never publish it
       PublishPartialRequest publish;
       publish.run_id = options.run_id;
       publish.worker_id = report.worker_id;
       publish.config_hash = workload->config_hash;
       publish.lease = lease;
-      lease_partial.encode(publish.partial);
+      lease_partial->encode(publish.partial);
       const PublishPartialReply outcome =
           session.rpc([&](Client& c) { return c.publish_partial(publish); });
       if (outcome.accepted) {

@@ -35,7 +35,6 @@ void add_experiment_flags(const CliFlags& flags, ExperimentConfig& config) {
   set.strict = config.strict;
   set.run_id = config.run_id;
   set.resume = config.resume;
-  set.lease_ttl_ms = config.lease_ttl_ms;
   set.matrix_free = config.matrix_free;
   set.aca_tol = config.aca_tolerance;
   set.apply(flags);
@@ -50,7 +49,6 @@ void add_experiment_flags(const CliFlags& flags, ExperimentConfig& config) {
   config.strict = set.strict;
   config.run_id = set.run_id;
   config.resume = set.resume;
-  config.lease_ttl_ms = set.lease_ttl_ms;
   config.matrix_free = set.matrix_free;
   config.aca_tolerance = set.aca_tol;
 }
@@ -134,6 +132,10 @@ store::KleArtifactConfig ExperimentPipeline::artifact_config(
 KleRunOutcome ExperimentPipeline::run_kle(const KleRunRequest& request) {
   require((request.mesh != nullptr) != (request.store != nullptr),
           "ExperimentPipeline::run_kle: set exactly one of mesh / store");
+  // Checked before the KLE solve: the ledger lives under the store root.
+  require(request.run_id.empty() || request.store != nullptr,
+          "ExperimentPipeline::run_kle: a checkpointed run (run_id) needs "
+          "the artifact-store path — the ledger lives under the store root");
   KleRunOutcome outcome;
   outcome.from_store = request.store != nullptr;
 
@@ -190,9 +192,6 @@ KleRunOutcome ExperimentPipeline::run_kle(const KleRunRequest& request) {
   // ledger to everything that determines a sample's value, so a resume
   // against a different circuit/kernel/KLE rejects instead of silently
   // folding foreign partials into the statistics.
-  require(request.store != nullptr,
-          "ExperimentPipeline::run_kle: a checkpointed run (run_id) needs "
-          "the artifact-store path — the ledger lives under the store root");
   store::ContentHasher h;
   h.update_string("sckl-mc-workload-v1");
   h.update_string(config_.circuit);
@@ -209,7 +208,6 @@ KleRunOutcome ExperimentPipeline::run_kle(const KleRunRequest& request) {
   run.workload_key = h.digest();
   if (config_.mc_lease_blocks > 0) run.lease_blocks = config_.mc_lease_blocks;
   run.share_coordinator = request.share_coordinator;
-  run.local_fallback_seconds = request.local_fallback_seconds;
   outcome.checkpointed = true;
   outcome.ssta = run_checkpointed_monte_carlo_ssta(*engine_, samplers, options,
                                                    run, &outcome.mc_run);

@@ -33,12 +33,11 @@ struct ExperimentConfig {
   double mesh_area_fraction = 0.001;  // paper: max area 0.1% of the die
   double kernel_c = 0.0;           // Gaussian decay; 0 = the paper's 2-D fit
   std::uint64_t seed = 1;
-  bool reuse_kle = true;           // share one KLE across the 4 parameters
 
-  /// Worker threads for the Monte Carlo block pipeline: 0 = auto (the
-  /// SCKL_THREADS environment variable when set, else hardware
-  /// concurrency), 1 = serial, k = exactly k workers. Results are
-  /// bit-identical for every value (see ssta/mc_ssta.h).
+  /// Worker threads for the Monte Carlo runner: 0 = auto (the SCKL_THREADS
+  /// environment variable when set, else hardware concurrency), 1 =
+  /// serial, k = exactly k workers. Results are bit-identical for every
+  /// value (see ssta/mc_ssta.h).
   std::size_t num_threads = 0;
 
   /// When non-empty, the KLE is fetched through a KleArtifactStore rooted
@@ -62,9 +61,10 @@ struct ExperimentConfig {
   /// cancelled earlier run) instead of rejecting it.
   bool resume = false;
 
-  /// Lease time-to-live for checkpointed runs (--lease-ttl). A claimed
-  /// lease not completed or heartbeat-extended within this budget is
-  /// reclaimed and recomputed deterministically.
+  /// Lease time-to-live for remote workers of a distributed run (the serve
+  /// daemon's --lease-ttl). A remote claim not completed or
+  /// heartbeat-extended within this budget is reclaimed and recomputed
+  /// deterministically; local claims never time out.
   std::uint64_t lease_ttl_ms = 300'000;
   /// Checkpointing geometry: samples per block and blocks per lease for
   /// the checkpointed runner (0 = keep the McSstaOptions/McRunOptions
@@ -160,7 +160,7 @@ struct KleRunRequest {
   /// Additionally run core::check_kle_health into the outcome's info.
   bool validate = false;
   /// Forwarded to McSstaOptions::cancelled: polled between Monte Carlo
-  /// block claims; a true return aborts the run with kDeadlineExceeded.
+  /// lease claims; a true return aborts the run with kDeadlineExceeded.
   /// Empty = never cancelled. Must be thread-safe.
   std::function<bool()> cancelled;
   /// Non-empty: run the Monte Carlo through the checkpointed runner with
@@ -173,8 +173,6 @@ struct KleRunRequest {
   /// table is served to remote workers. See ssta/mc_run.h.
   std::function<void(LeaseCoordinator*, const LedgerHeader*)>
       share_coordinator;
-  /// Forwarded to McRunOptions::local_fallback_seconds.
-  double local_fallback_seconds = 0.5;
 };
 
 /// Statistics + provenance + telemetry of one Algorithm 2 run.

@@ -1,21 +1,21 @@
-// The durable lease ledger behind checkpointed Monte Carlo runs, factored
-// out of mc_run so remote workers can share it.
+// The lease table behind every Monte Carlo run, and the durable ledger
+// behind checkpointed ones.
 //
 // A run's sample blocks are grouped into fixed leases; LeaseCoordinator
-// tracks the lease state machine in memory and owns the append-only ledger
-// (store/record_log.h). PR 7 used it from worker threads inside one
-// process; this header additionally exposes the remote half of the same
-// machine: a serve-protocol coordinator hands leases to workers on other
-// machines (claim_remote), keeps them alive while the worker heartbeats
-// (heartbeat), and accepts their finished partials (publish_remote). The
-// state machine is unchanged — a remote worker is just a claimer whose
+// tracks the lease state machine in memory and, for a checkpointed run,
+// owns the append-only ledger (store/record_log.h). A plain run is the same
+// table with one block per lease and no ledger. Worker threads inside the
+// process claim leases with claim(); the serve-protocol coordinator also
+// hands leases to workers on other machines (claim_remote), keeps them
+// alive while the worker heartbeats (heartbeat), and accepts their finished
+// partials (publish_remote). A remote worker is just a claimer whose
 // liveness signal arrives over RPC instead of being implied by a live
-// thread:
+// thread, so only remote claims time out:
 //
 //   Available ──claim/claim_remote──▶ Claimed(owner, expiry)
 //        ▲                                │            │
 //        └────────── expired ────────────┘         publish
-//                (no heartbeat within TTL)             │
+//          (remote claim: no heartbeat within TTL)     │
 //                                                      ▼
 //                                                  Complete
 //
@@ -29,6 +29,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,13 +73,13 @@ struct Lease {
   std::size_t first_block = 0;
   std::size_t num_blocks = 0;
   LeaseState state = LeaseState::kAvailable;
-  std::chrono::steady_clock::time_point expiry{};
+  std::chrono::steady_clock::time_point expiry{};  // remote claims only
   std::uint64_t owner = 0;           // 0 = a local worker thread
   bool was_reclaimed = false;        // a prior claim on it expired
   detail::BlockPartial partial;      // valid once kComplete
 };
 
-/// What the checkpointed runner did, for reporting and tests.
+/// What the lease runner did, for reporting and tests.
 struct McRunStats {
   std::size_t leases_total = 0;
   std::size_t leases_resumed = 0;   // loaded complete from the ledger
@@ -105,22 +106,26 @@ struct LeaseProgress {
   std::size_t claimed = 0;
 };
 
-/// Tracks lease states and owns the ledger appends. One mutex covers the
-/// lease table, the ledger, and the stats — publishing a lease is a single
-/// critical section, so the ledger order always matches completion order.
-/// All methods are thread-safe; leases() is only safe once every claimer
-/// (local threads and the serve registry) has quiesced.
+/// Tracks lease states and, when given a ledger, owns its appends. One
+/// mutex covers the lease table, the ledger, and the stats — publishing a
+/// lease is a single critical section, so the ledger order always matches
+/// completion order. All methods are thread-safe; leases() is only safe
+/// once every claimer (local threads and the serve registry) has quiesced.
 class LeaseCoordinator {
  public:
-  /// `ttl_seconds` bounds how long a claim may go without a completion or
-  /// heartbeat before it is reclaimed; `num_endpoints` validates remote
-  /// partials before they touch the ledger.
-  LeaseCoordinator(std::vector<Lease> leases, store::RecordLog log,
-                   double ttl_seconds, std::size_t num_endpoints,
-                   McRunStats& stats);
+  /// `log` is the run's ledger, or nullopt for an in-memory run whose
+  /// commits append nothing. `ttl_seconds` bounds how long a remote claim
+  /// may go without a completion or heartbeat before it is reclaimed;
+  /// `num_endpoints` validates remote partials before they touch the
+  /// ledger.
+  LeaseCoordinator(std::vector<Lease> leases,
+                   std::optional<store::RecordLog> log, double ttl_seconds,
+                   std::size_t num_endpoints, McRunStats& stats);
 
-  /// Claims the next available lease (reclaiming any time-expired claim on
-  /// the way); returns its index or npos when nothing remains claimable.
+  /// Claims the next available lease for a local thread (reclaiming any
+  /// time-expired remote claim on the way); returns its index or npos when
+  /// nothing remains claimable. A local claim never times out: a live
+  /// thread of this process holds it.
   std::size_t claim();
 
   /// Remote claim: hands up to `max_leases` available leases to `worker`
@@ -129,13 +134,13 @@ class LeaseCoordinator {
   std::vector<ClaimedLease> claim_remote(std::uint64_t worker,
                                          std::size_t max_leases);
 
-  /// Publishes a finished lease: appends its record durably, then marks it
-  /// complete. Returns false when the claim had expired (deadline passed,
-  /// or the mc_lease_expire fault fired) — the lease goes back to
-  /// Available and the completion is discarded, exactly what happens to a
-  /// worker whose lease a coordinator already gave away. A lease someone
-  /// else already completed is silently discarded too (same bits).
-  bool publish(std::size_t index, const detail::BlockPartial& partial,
+  /// Publishes a finished local lease: appends its record durably (when
+  /// there is a ledger), then marks it complete. Returns false when the
+  /// mc_lease_expire fault fired — the lease goes back to Available and the
+  /// completion is discarded, exactly what happens to a remote worker whose
+  /// lease a coordinator already gave away. A lease someone else already
+  /// completed is silently discarded too (same bits).
+  bool publish(std::size_t index, detail::BlockPartial partial,
                std::uint64_t parent_span_id);
 
   /// Remote publish. Validates the wire-supplied geometry against the
@@ -172,12 +177,18 @@ class LeaseCoordinator {
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// Remote claims past their expiry time out; local claims never do.
+  static bool timed_out(const Lease& lease, Clock::time_point now);
   void expire_locked(Lease& lease);
-  /// Appends the lease record and marks the lease complete. The
-  /// mc_coordinator_crash site fires right after the durable append — the
-  /// worst instant for a coordinator to die, since the commit is on disk
-  /// but nothing in memory (or on any worker) knows yet.
-  void commit_locked(Lease& lease, const detail::BlockPartial& partial,
+  /// Index of the first lease not yet complete. Leases never leave
+  /// kComplete, so claims scan from here and stay O(leases in flight)
+  /// rather than O(leases).
+  std::size_t first_incomplete_locked();
+  /// Appends the lease record (when there is a ledger) and marks the lease
+  /// complete. The mc_coordinator_crash site fires right after the durable
+  /// append — the worst instant for a coordinator to die, since the commit
+  /// is on disk but nothing in memory (or on any worker) knows yet.
+  void commit_locked(Lease& lease, detail::BlockPartial partial,
                      std::uint64_t parent_span_id);
   void bump_activity_locked();
 
@@ -185,7 +196,8 @@ class LeaseCoordinator {
   std::condition_variable activity_cv_;
   std::uint64_t activity_ = 0;
   std::vector<Lease> leases_;
-  store::RecordLog log_;
+  std::size_t first_incomplete_ = 0;
+  std::optional<store::RecordLog> log_;
   Clock::duration ttl_;
   std::size_t num_endpoints_ = 0;
   McRunStats& stats_;

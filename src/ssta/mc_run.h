@@ -1,15 +1,16 @@
-// Checkpointed, resumable Monte Carlo SSTA (the crash-safe runner).
+// Checkpointed, resumable Monte Carlo SSTA: the one runner with a ledger.
 //
-// run_monte_carlo_ssta (mc_ssta.h) already makes every sample a pure
-// function of its index, so nothing about a Monte Carlo run is inherently
-// lost when the process dies — except the work already done. This runner
-// adds exactly that durability: blocks are grouped into fixed *leases*, a
-// worker that finishes a lease appends the lease's merged BlockPartial to a
-// durable append-only *run ledger* (store/record_log.h, fsync'd per
-// record), and a resumed run loads completed leases from the ledger and
-// recomputes only the rest. The lease table, state machine, and ledger
-// appends live in lease_ledger.h (LeaseCoordinator) so the serve daemon
-// can hand the same leases to remote workers.
+// Every Monte Carlo run is a lease run (mc_ssta.h): blocks are grouped into
+// fixed *leases*, and worker threads claim, compute, and publish them. A
+// plain run keeps its lease table in memory. Every sample is a pure
+// function of its index, so nothing about a run is inherently lost when the
+// process dies — except the work already done. The checkpointed runner adds
+// exactly that durability: a published lease's merged BlockPartial is
+// appended to a durable append-only *run ledger* (store/record_log.h,
+// fsync'd per record), and a resumed run loads completed leases from the
+// ledger and recomputes only the rest. The lease table, state machine, and
+// ledger appends live in lease_ledger.h (LeaseCoordinator) so the serve
+// daemon can hand the same leases to remote workers.
 //
 // Resume invariant (ctest-gated by mc_resume_kill_loop): for a fixed
 // (workload, num_samples, block_size, lease_blocks, seed, sketch_capacity),
@@ -19,9 +20,10 @@
 // uninterrupted run. Three properties compose into the guarantee:
 //
 //   1. Per-lease partials are pure: lease L's partial is the fold, in block
-//      order, of its blocks' partials, and each block partial is a pure
-//      function of (workload, options, block index). Recomputing a lost
-//      lease reproduces the exact bits the dead worker would have written.
+//      order, of its blocks' partials (detail::compute_lease_partial, the
+//      one such fold), and each block partial is a pure function of
+//      (workload, options, block index). Recomputing a lost lease
+//      reproduces the exact bits the dead worker would have written.
 //   2. The ledger is crash-safe: records are CRC-framed and fsync'd; a
 //      crash mid-append tears at most the tail record, which open()
 //      truncates away. Committed leases are never lost or corrupted.
@@ -33,9 +35,10 @@
 //
 // The same three properties make the DISTRIBUTED extension safe: a remote
 // worker that claims a lease over the serve protocol computes the same
-// pure partial, and whichever claimer publishes first commits the same
-// bits (mc_dist_kill_loop gates this across worker kills, coordinator
-// kills, and heartbeat loss). See DESIGN.md §12.
+// pure partial with the same compute_lease_partial, and whichever claimer
+// publishes first commits the same bits (mc_dist_kill_loop gates this
+// across worker kills, coordinator kills, and heartbeat loss). See
+// DESIGN.md §12.
 //
 // Single-writer discipline: the runner holds an exclusive flock on
 // <ledger_dir>/<run_id>.lock for the whole run, so two processes can never
@@ -89,20 +92,16 @@ struct McRunOptions {
   /// calls it again with (nullptr, nullptr) — before the coordinator is
   /// destroyed — once no further remote publishes may be accepted. Between
   /// the two calls the runner waits for remote progress and degrades
-  /// gracefully: whenever no remote activity arrives for
-  /// local_fallback_seconds it claims a lease itself and computes it
+  /// gracefully: whenever no remote activity (claim / publish / heartbeat)
+  /// arrives for half a second it claims a lease itself and computes it
   /// locally, so a run finishes even if every worker vanishes.
   std::function<void(LeaseCoordinator*, const LedgerHeader*)>
       share_coordinator;
-
-  /// How long the distributed coordinator waits without any remote
-  /// activity (claim / publish / heartbeat) before computing a lease
-  /// locally. Only used when share_coordinator is set.
-  double local_fallback_seconds = 0.5;
 };
 
-/// Runs Monte Carlo SSTA with durable lease checkpointing. Same sampler
-/// preconditions as run_monte_carlo_ssta; additionally requires a valid
+/// Runs Monte Carlo SSTA with durable lease checkpointing: the runner of
+/// run_monte_carlo_ssta with the run's lock, ledger replay, and
+/// lease_blocks. Same sampler preconditions; additionally requires a valid
 /// run_id/ledger_dir and rejects options.keep_samples (per-sample retention
 /// is incompatible with skipping resumed leases). Throws:
 ///   kPrecondition — run_id invalid, ledger belongs to another workload or

@@ -8,24 +8,23 @@
 // the harness separately times sample generation and STA so Table 1's
 // speedup decomposition can be reported.
 //
-// The block loop is parallel: workers claim blocks dynamically off a shared
-// counter, draw their block's index range for all four parameters, run STA
-// with per-worker scratch state, and record per-block partial statistics
-// that are merged in block order after the join. Because every sample is
-// index-addressed (the samplers are stateless) and the merge order is
-// fixed, the result — including every retained worst-delay sample, the
-// accumulated mean/sigma, and the worst-delay quantile sketch — is
-// bit-identical for any thread count and any block size partition.
-//
-// The per-block computation is factored out (detail::compute_block_partial)
-// and shared with the checkpointed runner in ssta/mc_run.h, which persists
-// completed-lease partials to a durable ledger so a killed run can resume
-// and still reproduce the identical statistics.
+// There is one runner. Samples are cut into blocks and blocks into leases;
+// worker threads claim leases off the lease table (LeaseCoordinator in
+// ssta/lease_ledger.h), fold each lease's blocks with
+// detail::compute_lease_partial, and publish the lease partial. The result
+// folds the lease partials in lease order. run_monte_carlo_ssta is that
+// runner with one block per lease and no ledger; the checkpointed runner in
+// ssta/mc_run.h is the same runner with a durable ledger, so a killed run
+// can resume. Because every sample is index-addressed (the samplers are
+// stateless) and the fold order is fixed, the result — including every
+// retained worst-delay sample, the accumulated mean/sigma, and the
+// worst-delay quantile sketch — is bit-identical for any thread count.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/statistics.h"
@@ -46,21 +45,21 @@ struct McSstaOptions {
   /// num_samples <= sketch_capacity; see common/statistics.h for the rank
   /// error beyond that. Must match across runs that resume each other.
   std::size_t sketch_capacity = QuantileSketch::kDefaultCapacity;
-  /// Worker threads for the block pipeline: 0 = auto (the SCKL_THREADS
-  /// environment variable when set, else hardware concurrency), 1 = serial
-  /// on the calling thread, k = exactly k workers. Statistics are
-  /// bit-identical for every value.
+  /// Worker threads claiming leases: 0 = auto (the SCKL_THREADS environment
+  /// variable when set, else hardware concurrency), 1 = serial on the
+  /// calling thread, k = exactly k workers. Statistics are bit-identical
+  /// for every value.
   std::size_t num_threads = 0;
-  /// Lease time-to-live for the checkpointed runner (mc_run.h): a claimed
-  /// lease not completed (or, for remote workers, not heartbeat-extended)
-  /// within this budget is treated as abandoned and reclaimed for
-  /// deterministic recomputation. Ignored by the plain runner. Must be
+  /// Lease time-to-live for remote workers (mc_run.h, DESIGN.md §12): a
+  /// remote claim not completed or heartbeat-extended within this budget
+  /// is treated as abandoned and reclaimed for deterministic recomputation.
+  /// Claims held by this process's own threads never time out. Must be
   /// positive; heartbeat intervals are validated against it (< TTL/3).
   std::uint64_t lease_ttl_ms = 300'000;
-  /// Cooperative cancellation, polled between block claims (a block is the
-  /// unit of preemption — at most one block of work runs after this first
-  /// returns true). When the run is cancelled the harness finishes joining
-  /// its workers, then throws sckl::Error(kDeadlineExceeded). The serve
+  /// Cooperative cancellation, polled before every lease claim (a lease is
+  /// the unit of preemption — at most one lease per worker runs after this
+  /// first returns true). When the run is cancelled the harness finishes
+  /// joining its workers, then throws sckl::Error(kDeadlineExceeded). The serve
   /// daemon passes a deadline check here so a slow RunSsta request stops
   /// consuming pool threads soon after its deadline expires. Must be
   /// thread-safe; empty = never cancelled.
@@ -88,10 +87,10 @@ using ParameterSamplers =
 namespace detail {
 
 /// Statistics of one sample block (or one merged lease of blocks). Kept per
-/// block so the final merge runs in block order — the floating-point
+/// lease so the final fold runs in lease order — the floating-point
 /// accumulation is then independent of the thread count. The checkpointed
-/// runner serializes merged-lease partials into its ledger, which is why
-/// the struct carries wire codecs and bitwise comparison.
+/// runner serializes lease partials into its ledger, which is why the
+/// struct carries wire codecs.
 struct BlockPartial {
   RunningStats worst_delay;
   QuantileSketch worst_delay_sketch{QuantileSketch::kDefaultCapacity};
@@ -100,18 +99,14 @@ struct BlockPartial {
   double sta_seconds = 0.0;
 
   /// Folds `other` into this partial. The fold is the one merge step used
-  /// everywhere (plain runner, lease accumulation, ledger replay), so a
-  /// fixed fold order ⇒ bit-identical accumulator state.
+  /// everywhere (lease accumulation, the final fold), so a fixed fold order
+  /// ⇒ bit-identical accumulator state.
   void merge(const BlockPartial& other);
 
   /// Bit-exact wire codecs (timings travel as IEEE-754 bit patterns too,
   /// though only the statistics take part in the resume invariant).
   void encode(std::vector<std::uint8_t>& out) const;
   static BlockPartial decode(wire::ByteReader& r);
-
-  /// Bitwise comparison of the statistical state (worst_delay, sketch,
-  /// endpoints) — timings are excluded, they are wall-clock measurements.
-  bool state_equals(const BlockPartial& other) const;
 };
 
 /// Per-worker scratch: one sample matrix per statistical parameter plus the
@@ -137,6 +132,20 @@ void compute_block_partial(const timing::StaEngine& engine,
                            BlockPartial& partial,
                            std::vector<double>* samples_out);
 
+/// Computes one lease's partial: the fold, in block order, of the partials
+/// of blocks [first_block, first_block + num_blocks) (resume invariant #1 in
+/// mc_run.h). `before_block`, when set, runs before each block; a false
+/// return abandons the lease and the function returns nullopt. This is the
+/// only place blocks fold into a lease — local claimers and the serve
+/// worker both call it, so a remote partial carries the bits a local
+/// claimer would. `samples_out` is forwarded to compute_block_partial.
+std::optional<BlockPartial> compute_lease_partial(
+    const timing::StaEngine& engine, const ParameterSamplers& samplers,
+    const McSstaOptions& options, std::size_t first_block,
+    std::size_t num_blocks, std::size_t num_endpoints, BlockScratch& scratch,
+    std::vector<double>* samples_out,
+    const std::function<bool()>& before_block = {});
+
 /// Number of blocks a run partitions into.
 inline std::size_t num_blocks_for(const McSstaOptions& options) {
   return (options.num_samples + options.block_size - 1) / options.block_size;
@@ -144,9 +153,11 @@ inline std::size_t num_blocks_for(const McSstaOptions& options) {
 
 }  // namespace detail
 
-/// Runs Monte Carlo SSTA. All samplers must cover exactly the engine's
-/// physical gate count and be safe for concurrent const use (every sampler
-/// in this codebase is: sample_block is a pure function of its arguments).
+/// Runs Monte Carlo SSTA: the lease runner with one block per lease and no
+/// ledger. All samplers must cover exactly the engine's physical gate count
+/// and be safe for concurrent const use (every sampler in this codebase is:
+/// sample_block is a pure function of its arguments). Throws
+/// kDeadlineExceeded when options.cancelled fires. Defined in mc_run.cpp.
 McSstaResult run_monte_carlo_ssta(const timing::StaEngine& engine,
                                   const ParameterSamplers& samplers,
                                   const McSstaOptions& options = {});

@@ -20,6 +20,7 @@
 #include "kernels/kernel_library.h"
 #include "linalg/gemm.h"
 #include "mesh/structured_mesher.h"
+#include "obs/metrics.h"
 #include "placer/recursive_placer.h"
 #include "robust/fault_injection.h"
 #include "ssta/experiment.h"
@@ -103,6 +104,28 @@ TEST_F(McSstaTest, ValidatesConfiguration) {
   EXPECT_THROW(run_monte_carlo_ssta(engine_, missing, {}), Error);
 }
 
+TEST_F(McSstaTest, CancelledPlainRunStopsAtTheLeaseBoundary) {
+  const ParameterSamplers samplers{&sampler_, &sampler_, &sampler_,
+                                   &sampler_};
+  McSstaOptions options;
+  options.num_samples = 200;
+  options.block_size = 16;
+  options.num_threads = 1;
+  std::atomic<int> polls{0};
+  // Poll 1 (before the first claim) passes; poll 2 cancels: a plain run's
+  // lease is one block, so exactly one block runs.
+  options.cancelled = [&polls] { return ++polls >= 2; };
+  obs::Counter& blocks = obs::counter("sckl.ssta.mc.blocks");
+  const std::uint64_t before = blocks.value();
+  try {
+    run_monte_carlo_ssta(engine_, samplers, options);
+    FAIL() << "cancelled plain run did not throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded);
+  }
+  EXPECT_EQ(blocks.value() - before, 1u);
+}
+
 TEST(Experiment, SmallCircuitKleTracksReference) {
   // End-to-end miniature of a Table 1 row on the smallest paper circuit
   // with few samples; statistical errors must land in single-digit percent.
@@ -157,6 +180,29 @@ TEST(Experiment, RunKleRejectsAmbiguousProvenance) {
   ExperimentPipeline pipeline(config);
   KleRunRequest neither;  // no mesh, no store
   EXPECT_THROW(pipeline.run_kle(neither), Error);
+}
+
+TEST(Experiment, RunKleRejectsACheckpointedRunWithoutStoreBeforeSolving) {
+  ExperimentConfig config;
+  config.circuit = "c880";
+  config.num_samples = 8;
+  ExperimentPipeline pipeline(config);
+  const mesh::TriMesh mesh = mesh::structured_mesh_for_count(
+      geometry::BoundingBox::unit_die(), 200);
+  KleRunRequest request;
+  request.r = 5;
+  request.num_eigenpairs = 10;
+  request.mesh = &mesh;
+  request.run_id = "no-store";  // the ledger needs the store root
+  obs::Counter& solves = obs::counter("sckl.core.kle_solves");
+  const std::uint64_t before = solves.value();
+  try {
+    pipeline.run_kle(request);
+    FAIL() << "checkpointed run without a store was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kPrecondition);
+  }
+  EXPECT_EQ(solves.value(), before) << "the KLE was solved before rejecting";
 }
 
 // --- determinism of the parallel block pipeline ----------------------------
@@ -330,6 +376,78 @@ TEST_F(CheckpointedMcTest, MatchesUninterruptedRunAcrossThreadCounts) {
               1e-9 * plain.worst_delay.mean());
   EXPECT_NEAR(plain.worst_delay.stddev(), reference.worst_delay.stddev(),
               1e-6 * plain.worst_delay.stddev());
+}
+
+TEST_F(CheckpointedMcTest, PlainRunEqualsOneBlockLeasesBitForBit) {
+  // A plain run is the lease runner at one block per lease with no ledger,
+  // so it must equal a checkpointed run at lease_blocks = 1 bit for bit —
+  // including the partial last block (200 = 12 x 16 + 8).
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    const std::filesystem::path dir =
+        scratch_dir("one_block_" + std::to_string(threads));
+    McRunOptions run = run_options(dir);
+    run.lease_blocks = 1;
+    const McSstaResult checkpointed = run_checkpointed_monte_carlo_ssta(
+        engine_, samplers(), mc_options(threads), run);
+    const McSstaResult plain =
+        run_monte_carlo_ssta(engine_, samplers(), mc_options(threads));
+    EXPECT_EQ(plain.worst_delay.count(), 200u);
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    expect_state_equal(plain, checkpointed);
+  }
+}
+
+/// Delegates to a real sampler but sleeps in every latent draw, so a lease
+/// takes far longer than a 1 ms lease TTL.
+class SlowSampler : public field::FieldSampler {
+ public:
+  explicit SlowSampler(const field::FieldSampler& inner) : inner_(inner) {}
+  std::size_t num_locations() const override { return inner_.num_locations(); }
+  std::size_t latent_dimension() const override {
+    return inner_.latent_dimension();
+  }
+  void latent_block(const field::SampleRange& range, const StreamKey& key,
+                    linalg::Matrix& xi) const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    inner_.latent_block(range, key, xi);
+  }
+  void reconstruct(const linalg::Matrix& xi,
+                   linalg::Matrix& out) const override {
+    inner_.reconstruct(xi, out);
+  }
+
+ private:
+  const field::FieldSampler& inner_;
+};
+
+TEST_F(CheckpointedMcTest, LeaseSlowerThanItsTtlStillCompletes) {
+  // Only remote claims time out: a lease held by a live thread of this
+  // process must publish even when computing it outlasts the TTL.
+  const SlowSampler slow(sampler_);
+  const ParameterSamplers slow_samplers{&slow, &slow, &slow, &slow};
+  McSstaOptions options = mc_options(1);
+  options.lease_ttl_ms = 1;
+  // Bounds each run: a lease table that times out its own claims would
+  // recompute forever and fail here with kDeadlineExceeded.
+  const auto start = std::chrono::steady_clock::now();
+  options.cancelled = [start] {
+    return std::chrono::steady_clock::now() - start > std::chrono::seconds(20);
+  };
+
+  McRunStats stats;
+  const McSstaResult checkpointed = run_checkpointed_monte_carlo_ssta(
+      engine_, slow_samplers, options, run_options(scratch_dir("ttl")),
+      &stats);
+  EXPECT_EQ(stats.leases_expired, 0u);
+  expect_state_equal(checkpointed,
+                     run_checkpointed_monte_carlo_ssta(
+                         engine_, samplers(), mc_options(1),
+                         run_options(scratch_dir("ttl_ref"))));
+
+  const McSstaResult plain =
+      run_monte_carlo_ssta(engine_, slow_samplers, options);
+  expect_state_equal(plain,
+                     run_monte_carlo_ssta(engine_, samplers(), mc_options(1)));
 }
 
 TEST_F(CheckpointedMcTest, CancelledRunResumesToIdenticalBits) {
