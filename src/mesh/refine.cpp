@@ -223,6 +223,7 @@ TriMesh refined_delaunay_mesh(geometry::BoundingBox bounds,
   constexpr int kMaxAreaPasses = 48;
   constexpr int kMaxAnglePasses = 12;
   int insertions = 0;
+  obs::Counter& inserted = obs::counter("sckl.mesh.refine.insertions");
 
   auto fix_oversized = [&](int passes) {
     for (int pass = 0; pass < passes; ++pass) {
@@ -232,15 +233,19 @@ TriMesh refined_delaunay_mesh(geometry::BoundingBox bounds,
         if (mesh.area(t) > options.max_area)
           offenders.push_back(mesh.triangle(t));
       if (offenders.empty()) return true;
+      // The budget fails the run only while offenders remain.
+      ensure(insertions < options.max_insertions,
+             "refined_delaunay_mesh: cannot satisfy the area constraint");
       bool progressed = false;
       for (const auto& tri : offenders) {
         if (insertions >= options.max_insertions) break;
         if (insert_steiner(builder, tracker, bounds, tri, rng)) {
           ++insertions;
+          inserted.add(1);
           progressed = true;
         }
       }
-      ensure(progressed && insertions < options.max_insertions,
+      ensure(progressed,
              "refined_delaunay_mesh: cannot satisfy the area constraint");
     }
     return false;
@@ -263,6 +268,7 @@ TriMesh refined_delaunay_mesh(geometry::BoundingBox bounds,
       if (insertions >= options.max_insertions) break;
       if (insert_steiner(builder, tracker, bounds, tri, rng)) {
         ++insertions;
+        inserted.add(1);
         progressed = true;
       }
     }

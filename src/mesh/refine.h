@@ -7,7 +7,8 @@
 // insert Steiner points (circumcenters, falling back to centroids near the
 // boundary) into the worst offending triangle until the area bound holds
 // and angles are acceptable. On the paper's setup (unit die, max area
-// 0.004) this lands within a few percent of the paper's n = 1546.
+// 0.004) it gives n = 2,258 at seed 1 (seeds 1-12: 1,974-2,643), above the
+// paper's n = 1546 from Triangle.
 #pragma once
 
 #include <cstdint>

@@ -231,6 +231,7 @@ void register_standard_metrics() {
   counter("sckl.linalg.cholesky.factorizations");
   counter("sckl.linalg.cholesky.jitter_retries");
   counter("sckl.mesh.refine.meshes");
+  counter("sckl.mesh.refine.insertions");
   gauge("sckl.mesh.refine.triangles");
   // Store layer.
   counter("sckl.store.cache.hits");
