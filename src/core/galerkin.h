@@ -23,10 +23,20 @@
 namespace sckl::core {
 
 /// Assembles the scaled Galerkin matrix B (n x n, symmetric). Cost is
-/// O(n^2 q^2) kernel evaluations for a q-point rule.
+/// O(n^2 q^2) kernel evaluations for a q-point rule, spread over
+/// `num_threads` workers (0 = auto: SCKL_THREADS env, else hardware
+/// concurrency) by 64 x 64 tiles of the upper triangle. Every entry is one
+/// fixed expression, so B has the same bits at every thread count.
+///
+/// Errors are those of a serial row-major sweep of the upper triangle: if
+/// kernel calls throw, the row-major-first one's exception propagates;
+/// otherwise a NaN/Inf entry throws sckl::Error (kNonFinite) naming the
+/// row-major-first such entry and the kernel, so NaN never reaches the
+/// spectrum.
 linalg::Matrix assemble_galerkin_matrix(
     const mesh::TriMesh& mesh, const kernels::CovarianceKernel& kernel,
-    QuadratureRule rule = QuadratureRule::kCentroid1);
+    QuadratureRule rule = QuadratureRule::kCentroid1,
+    std::size_t num_threads = 1);
 
 /// Evaluates the raw double integral K_ik of eq. 18 for one element pair
 /// (unscaled; used by the quadrature convergence tests of Theorem 2).

@@ -101,26 +101,9 @@ double KleResult::captured_variance_fraction(std::size_t r,
 
 namespace {
 
-// Assembles the dense Galerkin matrix and rejects NaN/Inf before it can
-// poison the whole spectrum: one bad kernel evaluation would otherwise
-// surface as mysteriously wrong eigenpairs.
-linalg::Matrix assemble_checked(const mesh::TriMesh& mesh,
-                                const kernels::CovarianceKernel& kernel,
-                                QuadratureRule quadrature) {
-  const std::size_t n = mesh.num_triangles();
-  const linalg::Matrix b = assemble_galerkin_matrix(mesh, kernel, quadrature);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* row = b.row_ptr(i);
-    for (std::size_t j = 0; j < n; ++j)
-      if (!std::isfinite(row[j]))
-        throw Error("solve_kle: Galerkin matrix entry (" + std::to_string(i) +
-                        ", " + std::to_string(j) +
-                        ") is not finite — kernel '" + kernel.name() +
-                        "' produced NaN/Inf",
-                    ErrorCode::kNonFinite);
-  }
-  return b;
-}
+// Threads of the assembly and the dense matvec: 0 resolves to SCKL_THREADS,
+// else the hardware concurrency. Any count gives the same bits.
+constexpr std::size_t kAutoThreads = 0;
 
 linalg::SymmetricEigenResult dense_eigensolve(const linalg::Matrix& b) {
   obs::Span dense_span("linalg.dense_eigen");
@@ -187,10 +170,13 @@ KleResult solve_kle(const mesh::TriMesh& mesh,
   }
 
   // kAssembled assembles B before the eigensolve; under kMatrixFree only
-  // the QL stage assembles it, on demand.
+  // the QL stage assembles it, on demand. The assembly rejects NaN/Inf
+  // entries, so one bad kernel evaluation cannot poison the spectrum.
   std::optional<linalg::Matrix> b;
   const auto assembled = [&]() -> const linalg::Matrix& {
-    if (!b) b = assemble_checked(mesh, kernel, options.quadrature);
+    if (!b)
+      b = assemble_galerkin_matrix(mesh, kernel, options.quadrature,
+                                   kAutoThreads);
     return *b;
   };
   const linalg::LanczosOptions lanczos = lanczos_options_for(options, n, m);
@@ -215,8 +201,9 @@ KleResult solve_kle(const mesh::TriMesh& mesh,
     assembled();
     if (m * 3 < n)
       stages.push_back({"dense", [&](linalg::LanczosInfo* lanczos_info) {
-        return linalg::lanczos_largest(linalg::DenseKernelOperator(*b),
-                                       lanczos, lanczos_info);
+        return linalg::lanczos_largest(
+            linalg::DenseKernelOperator(*b, kAutoThreads), lanczos,
+            lanczos_info);
       }});
     stages.push_back(ql);
   }

@@ -173,6 +173,9 @@ class KleResult {
 /// speed, not the answer. Any other error, and the failure of the last
 /// stage, propagates. A Galerkin matrix containing NaN/Inf is rejected
 /// (sckl::Error, code kNonFinite) instead of letting NaN reach the spectrum.
+/// The Galerkin assembly and the "dense" matvec run on auto threads
+/// (SCKL_THREADS env, else hardware concurrency); B, λ and d have the same
+/// bits at every thread count.
 KleResult solve_kle(const mesh::TriMesh& mesh,
                     const kernels::CovarianceKernel& kernel,
                     const KleOptions& options = {},

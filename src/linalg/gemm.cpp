@@ -515,12 +515,18 @@ Matrix gemm_fast(const Matrix& a, const Matrix& b) {
 }
 
 Vector gemv_fast(const Matrix& a, const Vector& x) {
-  require(a.cols() == x.size(), "gemv_fast: dimension mismatch");
-  const DotKernel dot = dot_kernel(active_simd_target());
   Vector y(a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    y[i] = dot(a.row_ptr(i), x.data(), a.cols());
+  gemv_rows(a, x, 0, a.rows(), y.data());
   return y;
+}
+
+void gemv_rows(const Matrix& a, const Vector& x, std::size_t begin,
+               std::size_t end, double* y) {
+  require(a.cols() == x.size(), "gemv_fast: dimension mismatch");
+  require(begin <= end && end <= a.rows(), "gemv_rows: bad row range");
+  const DotKernel dot = dot_kernel(active_simd_target());
+  for (std::size_t i = begin; i < end; ++i)
+    y[i] = dot(a.row_ptr(i), x.data(), a.cols());
 }
 
 Vector gemv_transposed_fast(const Matrix& a, const Vector& x) {

@@ -84,9 +84,14 @@ Matrix gemm_fast(const Matrix& a, const Matrix& b);
 
 /// y = A * x with the same determinism contract: each y(i) is an 8-lane
 /// interleaved fma chain (lane l accumulates elements k = l mod 8) folded
-/// by a fixed pairwise tree, identical across all targets. Used by the
-/// Lanczos matvec so cold KLE solves ride the same kernels.
+/// by a fixed pairwise tree, identical across all targets.
 Vector gemv_fast(const Matrix& a, const Vector& x);
+
+/// Rows [begin, end) of A * x into y[begin..end): the same per-row chain
+/// as gemv_fast, so any row partition gives gemv_fast's bits. The threaded
+/// Lanczos matvec (DenseKernelOperator) gives each worker one range.
+void gemv_rows(const Matrix& a, const Vector& x, std::size_t begin,
+               std::size_t end, double* y);
 
 /// y = A^T * x (A: k x n, x: k, y: n), computed column-major-free as k
 /// ascending fma chains per output — bit-identical to the corresponding

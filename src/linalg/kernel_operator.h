@@ -16,8 +16,13 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 
 #include "linalg/matrix.h"
+
+namespace sckl {
+class ThreadPool;
+}
 
 namespace sckl::linalg {
 
@@ -36,13 +41,19 @@ class KernelOperator {
   virtual const char* name() const = 0;
 };
 
-/// Dense matrix as a KernelOperator: y = A x through gemv_fast, the same
-/// dispatched SIMD kernels the samplers use. Borrows the matrix — the
-/// caller keeps it alive for the operator's lifetime.
+/// Dense matrix as a KernelOperator: y = A x through the gemv_fast row
+/// chains, the same dispatched SIMD kernels the samplers use. Each worker
+/// of a pool the operator owns for its whole lifetime computes one
+/// contiguous range of rows, so every thread count gives gemv_fast's bits.
+/// apply() must not run concurrently on one operator (the pool runs one job
+/// at a time); Lanczos never does so. Borrows the matrix — the caller keeps
+/// it alive for the operator's lifetime.
 class DenseKernelOperator final : public KernelOperator {
  public:
-  /// `a` must be square and outlive this operator.
-  explicit DenseKernelOperator(const Matrix& a);
+  /// `a` must be square and outlive this operator. `num_threads`: 0 = auto
+  /// (SCKL_THREADS env, else hardware concurrency), 1 = serial.
+  explicit DenseKernelOperator(const Matrix& a, std::size_t num_threads = 1);
+  ~DenseKernelOperator() override;
 
   std::size_t dim() const override { return a_.rows(); }
   void apply(const Vector& x, Vector& y) const override;
@@ -50,6 +61,7 @@ class DenseKernelOperator final : public KernelOperator {
 
  private:
   const Matrix& a_;
+  std::unique_ptr<ThreadPool> pool_;  // a 1-thread pool runs inline
 };
 
 }  // namespace sckl::linalg

@@ -69,7 +69,6 @@ SymmetricEigenResult lanczos_largest(const KernelOperator& op,
   basis.push_back(random_unit_vector(n, rng, basis));
   Vector w(n);
 
-  SymmetricEigenResult tri;
   std::size_t m = 0;
   std::size_t restarts = 0;
   bool converged = false;
@@ -92,15 +91,16 @@ SymmetricEigenResult lanczos_largest(const KernelOperator& op,
     m = basis.size();
     last_beta = b;
 
-    // Convergence test: residual of Ritz pair i is |beta_m * s_{m,i}|.
+    // Convergence test: residual of Ritz pair i is |beta_m * s_{m,i}|. It
+    // reads only the last row of the eigenvectors, so the full tridiagonal
+    // solve waits until the loop ends.
     if (m >= k) {
-      Vector sub(beta.begin(), beta.end());
-      tri = tridiagonal_eigen(alpha, sub);
+      const SymmetricEigenResult last = tridiagonal_eigen_last_row(alpha, beta);
       converged = !forced_failure;
       for (std::size_t i = 0; converged && i < k; ++i) {
-        const double resid = std::abs(b * tri.vectors(m - 1, i));
+        const double resid = std::abs(b * last.vectors(0, i));
         const double threshold =
-            options.tolerance * std::max(std::abs(tri.values[i]), 1e-30);
+            options.tolerance * std::max(std::abs(last.values[i]), 1e-30);
         if (resid > threshold) converged = false;
       }
       if (converged) break;
@@ -134,11 +134,8 @@ SymmetricEigenResult lanczos_largest(const KernelOperator& op,
     matvecs.add(alpha.size());  // exactly one apply() per basis growth step
     restart_count.add(restarts);
   }
-  if (!converged) {
-    // Final Ritz extraction at the subspace limit.
-    Vector sub(beta.begin(), beta.end());
-    tri = tridiagonal_eigen(alpha, sub);
-  }
+  // Final Ritz extraction, converged or at the subspace limit.
+  const SymmetricEigenResult tri = tridiagonal_eigen(alpha, beta);
 
   // Relative Ritz residuals |beta_m s_{m,i}| / max(|lambda_i|, eps) of the
   // requested pairs, from the final extraction.

@@ -189,6 +189,18 @@ Vector sorted_descending(Vector d) {
   return d;
 }
 
+// Checks a tridiagonal (diagonal d, off-diagonal e of size n-1) and copies
+// it into ql_implicit's layout: e[0] unused, e[i] couples i-1 and i.
+void ql_input(const Vector& d, const Vector& e, Vector& dd, Vector& ee) {
+  const std::size_t n = d.size();
+  require(n > 0, "tridiagonal_eigen: empty input");
+  require(e.size() + 1 == n || (n == 1 && e.empty()),
+          "tridiagonal_eigen: off-diagonal must have size n-1");
+  dd = d;
+  ee.assign(n, 0.0);
+  for (std::size_t i = 1; i < n; ++i) ee[i] = e[i - 1];
+}
+
 }  // namespace
 
 SymmetricEigenResult symmetric_eigen(const Matrix& a) {
@@ -214,27 +226,29 @@ Vector symmetric_eigenvalues(const Matrix& a) {
 }
 
 SymmetricEigenResult tridiagonal_eigen(const Vector& d, const Vector& e) {
-  const std::size_t n = d.size();
-  require(n > 0, "tridiagonal_eigen: empty input");
-  require(e.size() + 1 == n || (n == 1 && e.empty()),
-          "tridiagonal_eigen: off-diagonal must have size n-1");
-  Vector dd = d;
-  // ql_implicit expects e[0] unused and e[i] the coupling between i-1 and i.
-  Vector ee(n, 0.0);
-  for (std::size_t i = 1; i < n; ++i) ee[i] = e[i - 1];
-  Matrix z = Matrix::identity(n);
+  Vector dd;
+  Vector ee;
+  ql_input(d, e, dd, ee);
+  Matrix z = Matrix::identity(dd.size());
+  ql_implicit(dd, ee, &z);
+  return sort_descending(std::move(dd), std::move(z));
+}
+
+SymmetricEigenResult tridiagonal_eigen_last_row(const Vector& d,
+                                                const Vector& e) {
+  Vector dd;
+  Vector ee;
+  ql_input(d, e, dd, ee);
+  Matrix z(1, dd.size());
+  z(0, dd.size() - 1) = 1.0;
   ql_implicit(dd, ee, &z);
   return sort_descending(std::move(dd), std::move(z));
 }
 
 Vector tridiagonal_eigenvalues(const Vector& d, const Vector& e) {
-  const std::size_t n = d.size();
-  require(n > 0, "tridiagonal_eigenvalues: empty input");
-  require(e.size() + 1 == n || (n == 1 && e.empty()),
-          "tridiagonal_eigenvalues: off-diagonal must have size n-1");
-  Vector dd = d;
-  Vector ee(n, 0.0);
-  for (std::size_t i = 1; i < n; ++i) ee[i] = e[i - 1];
+  Vector dd;
+  Vector ee;
+  ql_input(d, e, dd, ee);
   ql_implicit(dd, ee, nullptr);
   return sorted_descending(std::move(dd));
 }

@@ -29,6 +29,15 @@ Vector symmetric_eigenvalues(const Matrix& a);
 /// solver to extract Ritz pairs. Result sorted descending.
 SymmetricEigenResult tridiagonal_eigen(const Vector& d, const Vector& e);
 
+/// The eigenvalues and only the last row of the eigenvector matrix of the
+/// same tridiagonal (`vectors` is 1 x n), bit-identical to the values and
+/// last row of tridiagonal_eigen(d, e) at O(n^2) instead of O(n^3): QL
+/// rotates each row of the eigenvector matrix on its own and never reads
+/// it, so rotating the single row e_{n-1}^T reproduces that row exactly.
+/// The Lanczos convergence test needs nothing more.
+SymmetricEigenResult tridiagonal_eigen_last_row(const Vector& d,
+                                                const Vector& e);
+
 /// Eigenvalues only of a symmetric tridiagonal matrix, sorted descending.
 Vector tridiagonal_eigenvalues(const Vector& d, const Vector& e);
 

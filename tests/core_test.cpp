@@ -14,7 +14,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -139,6 +143,69 @@ TEST(Galerkin, HigherOrderQuadratureCloseToCentroidOnFineMesh) {
   EXPECT_LT(b1.max_abs_diff(b3), 2e-3);
 }
 
+// The serial double loop assemble_galerkin_matrix ran before it was tiled,
+// kept as the oracle of the threaded assembly's bits.
+linalg::Matrix serial_loop_assembly(const mesh::TriMesh& mesh,
+                                    const kernels::CovarianceKernel& kernel,
+                                    QuadratureRule rule) {
+  const std::size_t n = mesh.num_triangles();
+  linalg::Matrix b(n, n);
+  std::vector<double> sqrt_area(n);
+  for (std::size_t i = 0; i < n; ++i) sqrt_area[i] = std::sqrt(mesh.area(i));
+  if (rule == QuadratureRule::kCentroid1) {
+    const auto& centroids = mesh.centroids();
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = i; k < n; ++k) {
+        const double value =
+            kernel(centroids[i], centroids[k]) * sqrt_area[i] * sqrt_area[k];
+        b(i, k) = value;
+        b(k, i) = value;
+      }
+    }
+    return b;
+  }
+  std::vector<std::vector<QuadraturePoint>> points(n);
+  for (std::size_t i = 0; i < n; ++i)
+    points[i] = quadrature_points(mesh.triangle(i), rule);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = i; k < n; ++k) {
+      double sum = 0.0;
+      for (const auto& a : points[i])
+        for (const auto& c : points[k])
+          sum += a.weight * c.weight * kernel(a.location, c.location);
+      const double value = sum / (sqrt_area[i] * sqrt_area[k]);
+      b(i, k) = value;
+      b(k, i) = value;
+    }
+  }
+  return b;
+}
+
+TEST(Galerkin, ThreadedAssemblyMatchesSerialLoop) {
+  // A refined mesh whose n is not a multiple of the 64-entry tile edge, so
+  // the last tile row and column are partial.
+  const mesh::TriMesh mesh =
+      mesh::paper_mesh(BoundingBox::unit_die(), 0.005, 3);
+  const std::size_t n = mesh.num_triangles();
+  ASSERT_GT(n, 128u);
+  ASSERT_NE(n % 64, 0u);
+  const kernels::GaussianKernel kernel(kernels::paper_gaussian_c());
+  for (const QuadratureRule rule :
+       {QuadratureRule::kCentroid1, QuadratureRule::kSymmetric3}) {
+    const linalg::Matrix oracle = serial_loop_assembly(mesh, kernel, rule);
+    for (std::size_t threads = 1; threads <= 4; ++threads) {
+      const linalg::Matrix b =
+          assemble_galerkin_matrix(mesh, kernel, rule, threads);
+      ASSERT_EQ(b.rows(), n);
+      ASSERT_EQ(b.cols(), n);
+      EXPECT_EQ(std::memcmp(b.data(), oracle.data(), n * n * sizeof(double)),
+                0)
+          << "rule " << static_cast<int>(rule) << ", " << threads
+          << " threads";
+    }
+  }
+}
+
 TEST(Analytic1d, RootsSolveTranscendentalEquations) {
   const double c = 1.0;
   const double a = 1.0;
@@ -257,12 +324,33 @@ TEST(KleSolver, QlRouteIsTheDenseReferenceBitForBit) {
   }
 }
 
+// Sets SCKL_THREADS, which solve_kle's auto thread count reads, for its
+// lifetime and restores the previous value.
+class ScopedScklThreads {
+ public:
+  explicit ScopedScklThreads(std::size_t threads) {
+    if (const char* saved = std::getenv("SCKL_THREADS")) saved_ = saved;
+    setenv("SCKL_THREADS", std::to_string(threads).c_str(), 1);
+  }
+  ~ScopedScklThreads() {
+    if (saved_)
+      setenv("SCKL_THREADS", saved_->c_str(), 1);
+    else
+      unsetenv("SCKL_THREADS");
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
 TEST(KleSolver, BitIdenticalAcrossSimdTargets) {
-  // The paper mesh and the ssta_flow default m = 50: assembly and Lanczos
-  // on the dispatched gemv give the same bits on every SIMD target.
+  // The paper mesh and the ssta_flow default m = 50: the threaded assembly
+  // and Lanczos on the dispatched, row-split gemv give the same bits on
+  // every SIMD target at every SCKL_THREADS count.
   const kernels::GaussianKernel kernel(kernels::paper_gaussian_c());
   const mesh::TriMesh mesh =
       mesh::paper_mesh(BoundingBox::unit_die(), 0.001, 8);
+  const std::size_t n = mesh.num_triangles();
   KleOptions options;
   options.num_eigenpairs = 50;
   std::optional<KleResult> reference;
@@ -270,19 +358,26 @@ TEST(KleSolver, BitIdenticalAcrossSimdTargets) {
        {linalg::SimdTarget::kScalar, linalg::SimdTarget::kAvx2,
         linalg::SimdTarget::kAvx512}) {
     if (!linalg::simd_target_supported(target)) continue;
-    linalg::set_simd_target(target);
-    const KleResult kle = solve_kle(mesh, kernel, options);
-    linalg::reset_simd_target();
-    if (!reference) {
-      reference.emplace(kle);
-      continue;
-    }
-    const char* name = linalg::simd_target_name(target);
-    for (std::size_t j = 0; j < 50; ++j) {
-      ASSERT_EQ(kle.eigenvalue(j), reference->eigenvalue(j)) << name << j;
-      for (std::size_t i = 0; i < mesh.num_triangles(); ++i)
-        ASSERT_EQ(kle.coefficient(i, j), reference->coefficient(i, j))
-            << name << " triangle " << i << " pair " << j;
+    for (const std::size_t threads : {1, 2, 4}) {
+      const ScopedScklThreads scoped_threads(threads);
+      linalg::set_simd_target(target);
+      const KleResult kle = solve_kle(mesh, kernel, options);
+      linalg::reset_simd_target();
+      if (!reference) {
+        reference.emplace(kle);
+        continue;
+      }
+      const char* name = linalg::simd_target_name(target);
+      EXPECT_EQ(std::memcmp(kle.eigenvalues().data(),
+                            reference->eigenvalues().data(),
+                            50 * sizeof(double)),
+                0)
+          << name << ", " << threads << " threads";
+      EXPECT_EQ(std::memcmp(kle.coefficients().data(),
+                            reference->coefficients().data(),
+                            n * 50 * sizeof(double)),
+                0)
+          << name << ", " << threads << " threads";
     }
   }
 }

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -254,6 +257,60 @@ TEST(TridiagonalEigen, EigenvaluesOnlyAgrees) {
   const Vector values = tridiagonal_eigenvalues(d, e);
   for (std::size_t i = 0; i < values.size(); ++i)
     EXPECT_NEAR(values[i], full.values[i], 1e-12);
+}
+
+// The Lanczos convergence test reads tridiagonal_eigen_last_row in place of
+// the full solve's last row, so the two must agree to the bit, including on
+// the inputs that take QL's deflation branches.
+TEST(TridiagonalEigen, LastRowMatchesFullSolveBitForBit) {
+  const auto expect_same_bits = [](const Vector& d, const Vector& e,
+                                   const std::string& what) {
+    const SymmetricEigenResult full = tridiagonal_eigen(d, e);
+    const SymmetricEigenResult last = tridiagonal_eigen_last_row(d, e);
+    const std::size_t n = d.size();
+    ASSERT_EQ(last.values.size(), n) << what;
+    ASSERT_EQ(last.vectors.rows(), 1u) << what;
+    ASSERT_EQ(last.vectors.cols(), n) << what;
+    EXPECT_EQ(std::memcmp(last.values.data(), full.values.data(),
+                          n * sizeof(double)),
+              0)
+        << what;
+    EXPECT_EQ(std::memcmp(last.vectors.row_ptr(0), full.vectors.row_ptr(n - 1),
+                          n * sizeof(double)),
+              0)
+        << what;
+  };
+
+  Rng rng(21);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 40; ++n) sizes.push_back(n);
+  for (std::size_t n = 64; n <= 300; n += 59) sizes.push_back(n);
+  for (const std::size_t n : sizes) {
+    Vector d(n);
+    Vector e(n - 1);
+    for (double& v : d) v = rng.normal();
+    for (double& v : e) v = rng.normal();
+    expect_same_bits(d, e, "random n = " + std::to_string(n));
+  }
+
+  const std::size_t n = 50;
+  expect_same_bits(Vector(n, 2.0), Vector(n - 1, -1.0), "Laplacian");
+
+  // Exact-zero couplings split T into blocks, as after a Lanczos restart.
+  Vector d(n);
+  Vector e(n - 1);
+  for (double& v : d) v = rng.normal();
+  for (std::size_t i = 0; i + 1 < n; ++i)
+    e[i] = i % 7 == 3 ? 0.0 : rng.normal();
+  expect_same_bits(d, e, "exact-zero couplings");
+
+  // Couplings below eps * ||T|| deflate through the absolute floor; the
+  // tiny diagonal tail is the numerically low-rank kernel spectrum.
+  for (std::size_t i = 0; i < n; ++i)
+    d[i] = i < 10 ? 1.0 + rng.uniform() : 1e-18 * rng.normal();
+  for (std::size_t i = 0; i + 1 < n; ++i)
+    e[i] = i < 9 ? rng.normal() : 1e-20 * rng.normal();
+  expect_same_bits(d, e, "couplings below the deflation floor");
 }
 
 TEST(JacobiEigen, AgreesWithQlSolver) {

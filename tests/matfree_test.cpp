@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -297,18 +298,29 @@ TEST(HMatrix, BudgetThrowsOverloaded) {
 }
 
 TEST(DenseKernelOperator, MatchesGemvBitwise) {
+  // n = 67 splits unevenly over every thread count and leaves a dot8 tail.
   Rng rng(5);
-  const std::size_t n = 64;
+  const std::size_t n = 67;
   Matrix a(n, n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t k = 0; k < n; ++k) a(i, k) = rng.normal();
-  const linalg::DenseKernelOperator op(a);
-  EXPECT_EQ(op.dim(), n);
   const Vector x = rng.normal_vector(n);
+  const Vector x2 = rng.normal_vector(n);
   const Vector ref = gemv_fast(a, x);
-  Vector y;
-  op.apply(x, y);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(y[i], ref[i]);
+  const Vector ref2 = gemv_fast(a, x2);
+  for (std::size_t threads = 1; threads <= 4; ++threads) {
+    const linalg::DenseKernelOperator op(a, threads);
+    EXPECT_EQ(op.dim(), n);
+    // Two applies: the second reuses the operator's pool.
+    Vector y;
+    op.apply(x, y);
+    ASSERT_EQ(y.size(), n);
+    EXPECT_EQ(std::memcmp(y.data(), ref.data(), n * sizeof(double)), 0)
+        << threads << " threads";
+    op.apply(x2, y);
+    EXPECT_EQ(std::memcmp(y.data(), ref2.data(), n * sizeof(double)), 0)
+        << threads << " threads, second apply";
+  }
 }
 
 TEST(ExactKernelOperator, MatchesAssembledGalerkinMatrix) {

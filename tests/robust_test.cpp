@@ -13,8 +13,11 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -484,6 +487,81 @@ TEST(KleSolverTest, NonFiniteGalerkinMatrixIsRejected) {
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kNonFinite);
     EXPECT_NE(std::string(e.what()).find("nan_kernel"), std::string::npos);
+  }
+}
+
+// --- threaded assembly error order -----------------------------------------
+
+// Thrown by PoisonedKernel at a throwing entry; carries the entry.
+struct PoisonedEntry {
+  std::size_t i;
+  std::size_t k;
+};
+
+using Entries = std::set<std::pair<std::size_t, std::size_t>>;
+
+// Gaussian kernel that returns NaN at some centroid-rule Galerkin entries
+// (i, k), i <= k, and throws PoisonedEntry at others.
+class PoisonedKernel final : public kernels::CovarianceKernel {
+ public:
+  PoisonedKernel(const mesh::TriMesh& mesh, Entries nan_at, Entries throw_at)
+      : nan_at_(std::move(nan_at)), throw_at_(std::move(throw_at)) {
+    for (std::size_t i = 0; i < mesh.num_triangles(); ++i)
+      index_[{mesh.centroid(i).x, mesh.centroid(i).y}] = i;
+  }
+  double operator()(geometry::Point2 x, geometry::Point2 y) const override {
+    const std::pair entry{index_.at({x.x, x.y}), index_.at({y.x, y.y})};
+    if (throw_at_.count(entry)) throw PoisonedEntry{entry.first, entry.second};
+    if (nan_at_.count(entry)) return std::numeric_limits<double>::quiet_NaN();
+    return gaussian_(x, y);
+  }
+  std::string name() const override { return "poisoned_kernel"; }
+  std::unique_ptr<kernels::CovarianceKernel> clone() const override {
+    return std::make_unique<PoisonedKernel>(*this);
+  }
+
+ private:
+  std::map<std::pair<double, double>, std::size_t> index_;
+  Entries nan_at_;
+  Entries throw_at_;
+  kernels::GaussianKernel gaussian_{2.0};
+};
+
+// In both cases the row-major-later entry sits in tile (0, 0), which a
+// worker claims first; the row-major-first one sits in a later tile.
+TEST(AssemblyErrorOrderTest, NonFiniteNamesRowMajorFirstEntry) {
+  const mesh::TriMesh mesh = small_mesh(300);
+  ASSERT_GT(mesh.num_triangles(), 140u);
+  const PoisonedKernel kernel(mesh, {{60, 63}, {3, 130}}, {});
+  for (const std::size_t threads : {1, 4}) {
+    try {
+      core::assemble_galerkin_matrix(
+          mesh, kernel, core::QuadratureRule::kCentroid1, threads);
+      ADD_FAILURE() << "expected kNonFinite at " << threads << " threads";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kNonFinite);
+      const std::string what = e.what();
+      EXPECT_NE(what.find("(3, 130)"), std::string::npos) << what;
+      EXPECT_NE(what.find("poisoned_kernel"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(AssemblyErrorOrderTest, KernelThrowRethrowsRowMajorFirstException) {
+  const mesh::TriMesh mesh = small_mesh(300);
+  ASSERT_GT(mesh.num_triangles(), 140u);
+  // The NaN entry precedes both throws: a throw outranks any non-finite
+  // entry, as in the serial loop that scanned B only after assembling it.
+  const PoisonedKernel kernel(mesh, {{0, 1}}, {{10, 10}, {2, 100}});
+  for (const std::size_t threads : {1, 4}) {
+    try {
+      core::assemble_galerkin_matrix(
+          mesh, kernel, core::QuadratureRule::kCentroid1, threads);
+      ADD_FAILURE() << "expected PoisonedEntry at " << threads << " threads";
+    } catch (const PoisonedEntry& e) {
+      EXPECT_EQ(e.i, 2u) << threads << " threads";
+      EXPECT_EQ(e.k, 100u) << threads << " threads";
+    }
   }
 }
 
