@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -75,7 +76,7 @@ struct SolveRecord {
 SolveRecord matfree_solve(std::size_t target, std::size_t pairs,
                           double aca_tol, std::size_t leaf,
                           std::size_t max_subspace) {
-  const mesh::TriMesh mesh = mesh::structured_mesh_for_count(
+  mesh::TriMesh mesh = mesh::structured_mesh_for_count(
       geometry::BoundingBox::unit_die(), target);
   const kernels::GaussianKernel kernel(kernels::paper_gaussian_c());
 
@@ -91,7 +92,7 @@ SolveRecord matfree_solve(std::size_t target, std::size_t pairs,
   record.pairs = pairs;
   obs::Stopwatch timer;
   const core::KleResult kle =
-      core::solve_kle(mesh, kernel, options, &record.info);
+      core::solve_kle(std::move(mesh), kernel, options, &record.info);
   record.build_solve_s = timer.seconds();
   record.op = record.info.operator_used;
   record.iterations = record.info.lanczos.iterations;

@@ -98,8 +98,8 @@ store::KleArtifactConfig make_config(const CliFlags& flags,
   return config;
 }
 
-void print_artifact(const store::StoredKleResult& artifact) {
-  const store::KleArtifactConfig& config = artifact.config();
+void print_artifact(const store::KleArtifactConfig& config,
+                    const core::KleResult& kle) {
   std::printf("  key          %s\n",
               store::key_string(store::artifact_key(config)).c_str());
   std::printf("  kernel       %s (", config.kernel_id.c_str());
@@ -114,30 +114,29 @@ void print_artifact(const store::StoredKleResult& artifact) {
               static_cast<unsigned long long>(config.mesh.target_triangles),
               config.mesh.area_fraction,
               static_cast<unsigned long long>(config.mesh.mesher_seed),
-              artifact.mesh().num_triangles(), artifact.mesh().num_vertices());
+              kle.mesh().num_triangles(), kle.mesh().num_vertices());
   std::printf("  quadrature   %u-point\n",
               config.quadrature == core::QuadratureRule::kSymmetric7   ? 7u
               : config.quadrature == core::QuadratureRule::kSymmetric3 ? 3u
                                                                        : 1u);
-  const auto& lambda = artifact.kle().eigenvalues();
+  const auto& lambda = kle.eigenvalues();
   std::printf("  eigenpairs   %zu computed (requested %llu)\n", lambda.size(),
               static_cast<unsigned long long>(config.num_eigenpairs));
   std::printf("  lambda[0..4] ");
   for (std::size_t j = 0; j < lambda.size() && j < 5; ++j)
     std::printf("%s%.6g", j ? ", " : "", lambda[j]);
   std::printf("\n  memory       ~%.2f MiB resident\n",
-              static_cast<double>(artifact.approximate_bytes()) / (1 << 20));
+              static_cast<double>(kle.resident_bytes()) / (1 << 20));
 }
 
 /// Shared --validate/--strict handling (the common ExperimentFlagSet
 /// vocabulary): prints the health report and, in strict mode, throws
 /// (exit 1 via main's catch) on warnings or worse.
-void validate_artifact(const CliFlags& flags,
-                       const store::StoredKleResult& artifact) {
+void validate_artifact(const CliFlags& flags, const core::KleResult& kle) {
   const ExperimentFlagSet shared = parse_experiment_flags(flags);
   const bool strict = shared.strict;
   if (!strict && !shared.validate) return;
-  const robust::HealthReport report = core::check_kle_health(artifact.kle());
+  const robust::HealthReport report = core::check_kle_health(kle);
   std::printf("health (worst: %s):\n%s", to_string(report.worst()),
               report.to_string().c_str());
   if (strict) report.throw_if_fatal(robust::Severity::kWarning);
@@ -168,7 +167,7 @@ int cmd_build(const CliFlags& flags, const std::string& root) {
   const store::StoreHealth health = store.health();
   if (health.total() > 0)
     std::printf("store faults: %s\n", to_string(health).c_str());
-  print_artifact(*first.artifact);
+  print_artifact(config, *first.artifact);
   validate_artifact(flags, *first.artifact);
   return 0;
 }
@@ -189,8 +188,8 @@ int cmd_inspect(const CliFlags& flags, const std::string& root) {
   const auto bytes = std::filesystem::file_size(path, ec);
   std::printf("%s: valid (%llu bytes on disk)\n", path.c_str(),
               static_cast<unsigned long long>(ec ? 0 : bytes));
-  print_artifact(artifact);
-  validate_artifact(flags, artifact);
+  print_artifact(artifact.config, artifact.kle);
+  validate_artifact(flags, artifact.kle);
   return 0;
 }
 

@@ -18,13 +18,13 @@
 
 namespace sckl::core {
 
-KleResult::KleResult(const mesh::TriMesh& mesh, linalg::Vector eigenvalues,
+KleResult::KleResult(mesh::TriMesh mesh, linalg::Vector eigenvalues,
                      linalg::Matrix coefficients)
-    : mesh_(mesh),
+    : mesh_(std::move(mesh)),
       eigenvalues_(std::move(eigenvalues)),
       coefficients_(std::move(coefficients)),
-      locator_(mesh.to_triangles(), mesh.bounds()) {
-  require(coefficients_.rows() == mesh.num_triangles(),
+      locator_(mesh_.to_triangles(), mesh_.bounds()) {
+  require(coefficients_.rows() == mesh_.num_triangles(),
           "KleResult: coefficient rows must match mesh size");
   require(coefficients_.cols() == eigenvalues_.size(),
           "KleResult: coefficient columns must match eigenvalue count");
@@ -87,6 +87,18 @@ linalg::Matrix KleResult::reconstruction_operator(std::size_t r) const {
       d_lambda(i, j) = coefficients_(i, j) * root;
   }
   return d_lambda;
+}
+
+std::size_t KleResult::resident_bytes() const {
+  return sizeof(*this) +
+         mesh_.vertices().capacity() * sizeof(geometry::Point2) +
+         mesh_.triangle_indices().capacity() *
+             sizeof(mesh::TriMesh::TriangleIndices) +
+         mesh_.areas().capacity() * sizeof(double) +
+         mesh_.centroids().capacity() * sizeof(geometry::Point2) +
+         eigenvalues_.capacity() * sizeof(double) +
+         coefficients_.rows() * coefficients_.cols() * sizeof(double) +
+         locator_.resident_bytes();
 }
 
 double KleResult::captured_variance_fraction(std::size_t r,
@@ -152,7 +164,7 @@ void record_failure(const Stage& stage, const Error& e, KleSolveInfo* info) {
 
 }  // namespace
 
-KleResult solve_kle(const mesh::TriMesh& mesh,
+KleResult solve_kle(mesh::TriMesh mesh,
                     const kernels::CovarianceKernel& kernel,
                     const KleOptions& options, KleSolveInfo* info) {
   const std::size_t n = mesh.num_triangles();
@@ -240,7 +252,8 @@ KleResult solve_kle(const mesh::TriMesh& mesh,
       coefficients(i, j) = eigen.vectors(i, j) * inv_root;
   }
   linalg::Vector values(eigen.values.begin(), eigen.values.begin() + m);
-  KleResult result(mesh, std::move(values), std::move(coefficients));
+  KleResult result(std::move(mesh), std::move(values),
+                   std::move(coefficients));
   if (result.clamped_count() > 0)
     obs::counter("sckl.core.clamped_eigenvalues").add(result.clamped_count());
   if (info != nullptr) {

@@ -80,20 +80,11 @@ struct KleSolveInfo {
   linalg::HmatStats hmat;           // compression stats of a completed build
 };
 
-/// Result of the numerical KLE of one kernel on one mesh.
-///
-/// LIFETIME CONTRACT — READ BEFORE STORING A KleResult ANYWHERE:
-/// KleResult deliberately BORROWS its mesh (it holds `const TriMesh&` and
-/// never copies it), so the mesh passed to solve_kle()/the constructor must
-/// strictly outlive the result. Returning a KleResult from a function whose
-/// local mesh dies, or caching one beyond its mesh's scope, is a dangling
-/// reference and undefined behaviour. When ownership is needed — persisted
-/// artifacts, caches, anything deserialized — use store::StoredKleResult
-/// (store/kle_io.h), which owns the mesh via shared_ptr and exposes the same
-/// KleResult view.
+/// Result of the numerical KLE of one kernel on one mesh. It owns the mesh
+/// it was solved on, so it stays valid wherever it is stored.
 class KleResult {
  public:
-  KleResult(const mesh::TriMesh& mesh, linalg::Vector eigenvalues,
+  KleResult(mesh::TriMesh mesh, linalg::Vector eigenvalues,
             linalg::Matrix coefficients);
 
   /// Number of computed eigenpairs m.
@@ -150,8 +141,13 @@ class KleResult {
 
   const mesh::TriMesh& mesh() const { return mesh_; }
 
+  /// Heap bytes held by the result (the capacities of the mesh, spectrum
+  /// and locator containers) plus the object itself: what a cache should
+  /// charge for keeping it.
+  std::size_t resident_bytes() const;
+
  private:
-  const mesh::TriMesh& mesh_;  // owned by the caller; must outlive the result
+  mesh::TriMesh mesh_;
   linalg::Vector eigenvalues_;
   linalg::Matrix coefficients_;  // n x m, column j = d_j
   geometry::SpatialGrid locator_;
@@ -159,8 +155,8 @@ class KleResult {
   double clamped_magnitude_ = 0.0;
 };
 
-/// Computes the KLE of `kernel` on `mesh`. The mesh must outlive the result
-/// (see the KleResult lifetime contract above).
+/// Computes the KLE of `kernel` on `mesh`. The result keeps the mesh: a
+/// caller that built it only for the solve moves it in.
 ///
 /// The eigensolve is one ordered list of stages, tried in turn:
 ///   kAssembled:  Lanczos on the assembled matrix ("dense", only when
@@ -176,7 +172,7 @@ class KleResult {
 /// The Galerkin assembly and the "dense" matvec run on auto threads
 /// (SCKL_THREADS env, else hardware concurrency); B, λ and d have the same
 /// bits at every thread count.
-KleResult solve_kle(const mesh::TriMesh& mesh,
+KleResult solve_kle(mesh::TriMesh mesh,
                     const kernels::CovarianceKernel& kernel,
                     const KleOptions& options = {},
                     KleSolveInfo* info = nullptr);

@@ -96,14 +96,13 @@ linalg::Matrix assemble_p1_kernel_matrix(
   return k;
 }
 
-P1KleResult::P1KleResult(const mesh::TriMesh& mesh,
-                         linalg::Vector eigenvalues,
+P1KleResult::P1KleResult(mesh::TriMesh mesh, linalg::Vector eigenvalues,
                          linalg::Matrix coefficients)
-    : mesh_(mesh),
+    : mesh_(std::move(mesh)),
       eigenvalues_(std::move(eigenvalues)),
       coefficients_(std::move(coefficients)),
-      locator_(mesh.to_triangles(), mesh.bounds()) {
-  require(coefficients_.rows() == mesh.num_vertices(),
+      locator_(mesh_.to_triangles(), mesh_.bounds()) {
+  require(coefficients_.rows() == mesh_.num_vertices(),
           "P1KleResult: coefficient rows must match vertex count");
   require(coefficients_.cols() == eigenvalues_.size(),
           "P1KleResult: coefficient columns must match eigenvalue count");
@@ -146,7 +145,7 @@ double P1KleResult::reconstruct_kernel(geometry::Point2 x, geometry::Point2 y,
   return sum;
 }
 
-P1KleResult solve_p1_kle(const mesh::TriMesh& mesh,
+P1KleResult solve_p1_kle(mesh::TriMesh mesh,
                          const kernels::CovarianceKernel& kernel,
                          const P1KleOptions& options) {
   const std::size_t nv = mesh.num_vertices();
@@ -164,7 +163,8 @@ P1KleResult solve_p1_kle(const mesh::TriMesh& mesh,
   for (std::size_t v = 0; v < nv; ++v)
     for (std::size_t j = 0; j < m; ++j)
       coefficients(v, j) = eigen.vectors(v, j);
-  return P1KleResult(mesh, std::move(values), std::move(coefficients));
+  return P1KleResult(std::move(mesh), std::move(values),
+                     std::move(coefficients));
 }
 
 }  // namespace sckl::core

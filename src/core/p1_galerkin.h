@@ -20,10 +20,11 @@
 
 namespace sckl::core {
 
-/// Result of the P1 KLE: eigenpairs with continuous eigenfunctions.
+/// Result of the P1 KLE: eigenpairs with continuous eigenfunctions. Like
+/// KleResult, it owns the mesh it was solved on.
 class P1KleResult {
  public:
-  P1KleResult(const mesh::TriMesh& mesh, linalg::Vector eigenvalues,
+  P1KleResult(mesh::TriMesh mesh, linalg::Vector eigenvalues,
               linalg::Matrix coefficients);
 
   std::size_t num_eigenpairs() const { return eigenvalues_.size(); }
@@ -47,7 +48,7 @@ class P1KleResult {
   const mesh::TriMesh& mesh() const { return mesh_; }
 
  private:
-  const mesh::TriMesh& mesh_;
+  mesh::TriMesh mesh_;
   linalg::Vector eigenvalues_;
   linalg::Matrix coefficients_;  // num_vertices x m
   geometry::SpatialGrid locator_;
@@ -71,7 +72,7 @@ linalg::Matrix assemble_p1_kernel_matrix(const mesh::TriMesh& mesh,
 
 /// Computes the P1 Galerkin KLE of `kernel` on `mesh` (dense generalized
 /// eigensolve; intended for n up to a few thousand vertices).
-P1KleResult solve_p1_kle(const mesh::TriMesh& mesh,
+P1KleResult solve_p1_kle(mesh::TriMesh mesh,
                          const kernels::CovarianceKernel& kernel,
                          const P1KleOptions& options = {});
 

@@ -16,9 +16,4 @@ std::size_t KleFieldSampler::matrix_bytes() const {
   return field_.matrix_bytes() + op_t.rows() * op_t.cols() * sizeof(double);
 }
 
-KleFieldSampler::KleFieldSampler(const store::StoredKleResult& stored,
-                                 std::size_t r,
-                                 const std::vector<geometry::Point2>& locations)
-    : KleFieldSampler(stored.kle(), r, locations) {}
-
 }  // namespace sckl::field

@@ -12,7 +12,6 @@
 
 #include "core/kle_field.h"
 #include "field/field_sampler.h"
-#include "store/kle_io.h"
 
 namespace sckl::field {
 
@@ -21,13 +20,10 @@ namespace sckl::field {
 /// locations (r x N_g).
 class KleFieldSampler final : public LinearFieldSampler {
  public:
-  /// Freezes `kle` at truncation r for the given locations. The KleResult
-  /// may be destroyed afterwards; all needed state is copied.
+  /// Freezes `kle` at truncation r for the given locations, whether it was
+  /// solved in place or fetched from the artifact store. The KleResult may
+  /// be destroyed afterwards; all needed state is copied.
   KleFieldSampler(const core::KleResult& kle, std::size_t r,
-                  const std::vector<geometry::Point2>& locations);
-
-  /// Same, from a persisted/cached artifact (artifact store warm path).
-  KleFieldSampler(const store::StoredKleResult& stored, std::size_t r,
                   const std::vector<geometry::Point2>& locations);
 
   const core::KleField& field() const { return field_; }

@@ -43,6 +43,14 @@ SpatialGrid::SpatialGrid(const std::vector<Triangle>& triangles,
   }
 }
 
+std::size_t SpatialGrid::resident_bytes() const {
+  std::size_t bytes = triangles_.capacity() * sizeof(Triangle) +
+                      buckets_.capacity() * sizeof(buckets_[0]);
+  for (const auto& bucket : buckets_)
+    bytes += bucket.capacity() * sizeof(std::size_t);
+  return bytes;
+}
+
 std::size_t SpatialGrid::cell_of(double v, double lo, double extent) const {
   const double scaled = (v - lo) / extent * static_cast<double>(cells_);
   const auto cell = static_cast<long>(std::floor(scaled));

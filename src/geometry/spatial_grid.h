@@ -37,6 +37,10 @@ class SpatialGrid {
 
   std::size_t cells_per_side() const { return cells_; }
 
+  /// Heap bytes of the index: its triangle copies, the bucket headers and
+  /// every bucket's capacity.
+  std::size_t resident_bytes() const;
+
  private:
   std::size_t cell_of(double v, double lo, double extent) const;
 

@@ -325,8 +325,9 @@ void Server::connection_loop(std::shared_ptr<Connection> conn) {
                             std::to_string(options_.max_payload_bytes),
                         ErrorCode::kPrecondition);
           }
-          // Sampler identity: requests agreeing on this key can share one
-          // constructed sampler (the batching unit).
+          // Sampler identity: requests agreeing on this key share one
+          // constructed sampler, both within a batch and in the sampler
+          // cache, which is keyed by it.
           store::ContentHasher h;
           h.update_u64(store::artifact_key(request.sample->config));
           h.update_u64(request.sample->r);
@@ -539,7 +540,7 @@ void Server::execute_sample_batch(std::vector<Request>& batch) {
   // One sampler lookup/construction serves the whole batch.
   std::shared_ptr<const field::KleFieldSampler> sampler;
   try {
-    sampler = sampler_for(*batch.front().sample);
+    sampler = sampler_for(batch.front().batch_key, *batch.front().sample);
   } catch (const Error& e) {
     for (Request& request : batch) reply_error(request, e.code(), e.what());
     return;
@@ -605,24 +606,16 @@ SolveKleReply Server::do_solve(const SolveKleRequest& request) {
   reply.key = store::artifact_key(request.config);
   reply.source = static_cast<std::uint32_t>(fetch.source);
   reply.seconds = fetch.seconds;
-  reply.mesh_triangles = fetch.artifact->mesh().num_triangles();
-  reply.num_eigenpairs = fetch.artifact->kle().eigenvalues().size();
-  if (request.want_artifact) reply.artifact = store::encode_kle(*fetch.artifact);
+  reply.mesh_triangles = fetch.artifact->basis_size();
+  reply.num_eigenpairs = fetch.artifact->num_eigenpairs();
+  if (request.want_artifact)
+    reply.artifact = store::encode_kle(request.config, *fetch.artifact);
   return reply;
 }
 
 std::shared_ptr<const field::KleFieldSampler> Server::sampler_for(
-    const SampleBlockRequest& request) {
-  store::ContentHasher h;
-  h.update_u64(store::artifact_key(request.config));
-  h.update_u64(request.r);
-  h.update_u64(request.locations.size());
-  for (const geometry::Point2& p : request.locations) {
-    h.update_double(p.x);
-    h.update_double(p.y);
-  }
-  const std::uint64_t key = h.digest();
-  if (auto cached = sampler_cache_.get(key)) {
+    std::uint64_t batch_key, const SampleBlockRequest& request) {
+  if (auto cached = sampler_cache_.get(batch_key)) {
     obs::counter("sckl.serve.sampler_cache.hits").add(1);
     return cached;
   }
@@ -633,7 +626,7 @@ std::shared_ptr<const field::KleFieldSampler> Server::sampler_for(
       store_->get_or_compute(request.config, *kernel);
   auto sampler = std::make_shared<const field::KleFieldSampler>(
       *fetch.artifact, static_cast<std::size_t>(request.r), request.locations);
-  sampler_cache_.put(key, sampler, sampler->matrix_bytes());
+  sampler_cache_.put(batch_key, sampler, sampler->matrix_bytes());
   return sampler;
 }
 

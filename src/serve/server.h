@@ -266,8 +266,10 @@ class Server {
   /// Validates the worker's config_hash against the run's (0 = not known
   /// yet, always accepted); throws kPrecondition on mismatch.
   static void check_config_hash(const DistRun& run, std::uint64_t claimed);
+  /// The sampler of a SampleBlock batch, cached under the batch's
+  /// `batch_key` (the sampler identity computed when the request was read).
   std::shared_ptr<const field::KleFieldSampler> sampler_for(
-      const SampleBlockRequest& request);
+      std::uint64_t batch_key, const SampleBlockRequest& request);
 
   void send_payload(const Request& request,
                     const std::vector<std::uint8_t>& payload, bool is_error);

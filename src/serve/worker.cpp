@@ -126,9 +126,9 @@ Workload build_workload(Session& session, const ClaimLeasesReply& spec) {
   solve.want_artifact = true;
   const SolveKleReply solved =
       session.rpc([&](Client& c) { return c.solve_kle(solve); });
-  const store::StoredKleResult stored = store::decode_kle(solved.artifact);
   w.sampler = std::make_unique<field::KleFieldSampler>(
-      stored, static_cast<std::size_t>(spec.r), w.pipeline->gate_locations());
+      store::decode_kle(solved.artifact).kle, static_cast<std::size_t>(spec.r),
+      w.pipeline->gate_locations());
 
   w.num_endpoints = static_cast<std::size_t>(spec.num_endpoints);
   if (w.pipeline->engine().num_endpoints() != w.num_endpoints)

@@ -142,18 +142,14 @@ KleRunOutcome ExperimentPipeline::run_kle(const KleRunRequest& request) {
   obs::Span span("ssta.run_kle");
   obs::Stopwatch setup;
   auto setup_span = std::make_unique<obs::Span>("ssta.kle_setup");
-  std::unique_ptr<field::KleFieldSampler> sampler;
+  // Both provenances yield one result; it is released once the sampler
+  // has copied what it needs, before the Monte Carlo run.
+  std::shared_ptr<const core::KleResult> kle;
   if (request.store != nullptr) {
-    const store::FetchResult fetch = request.store->get_or_compute(
+    store::FetchResult fetch = request.store->get_or_compute(
         artifact_config(request.num_eigenpairs), *kernel_);
-    sampler = std::make_unique<field::KleFieldSampler>(
-        *fetch.artifact, request.r, locations_);
+    kle = std::move(fetch.artifact);
     outcome.source = fetch.source;
-    outcome.mesh_triangles = fetch.artifact->mesh().num_triangles();
-    if (request.validate) {
-      outcome.info.validated = true;
-      outcome.info.health = core::check_kle_health(fetch.artifact->kle());
-    }
   } else {
     core::KleOptions kle_options;
     kle_options.num_eigenpairs = std::min<std::size_t>(
@@ -164,16 +160,17 @@ KleRunOutcome ExperimentPipeline::run_kle(const KleRunRequest& request) {
         kle_options.matfree.aca_tolerance = request.aca_tolerance;
       kle_options.matfree.num_threads = config_.num_threads;
     }
-    const core::KleResult kle = core::solve_kle(
-        *request.mesh, *kernel_, kle_options, &outcome.info.solve);
-    sampler = std::make_unique<field::KleFieldSampler>(kle, request.r,
-                                                       locations_);
-    outcome.mesh_triangles = request.mesh->num_triangles();
-    if (request.validate) {
-      outcome.info.validated = true;
-      outcome.info.health = core::check_kle_health(kle);
-    }
+    kle = std::make_shared<const core::KleResult>(core::solve_kle(
+        *request.mesh, *kernel_, kle_options, &outcome.info.solve));
   }
+  const auto sampler =
+      std::make_unique<field::KleFieldSampler>(*kle, request.r, locations_);
+  outcome.mesh_triangles = kle->basis_size();
+  if (request.validate) {
+    outcome.info.validated = true;
+    outcome.info.health = core::check_kle_health(*kle);
+  }
+  kle.reset();
   setup_span.reset();
   outcome.setup_seconds = setup.seconds();
   outcome.info.out_of_mesh_gates = sampler->out_of_mesh_count();

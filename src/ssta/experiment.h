@@ -152,7 +152,8 @@ robust::HealthReport fold_kle_health(const KleRunInfo& info);
 struct KleRunRequest {
   std::size_t r = 25;              // KLE truncation
   std::size_t num_eigenpairs = 50; // computed pairs m (clamped to the mesh)
-  const mesh::TriMesh* mesh = nullptr;       // fresh-solve path
+  /// Fresh-solve path: read only during run_kle (the result keeps a copy).
+  const mesh::TriMesh* mesh = nullptr;
   store::KleArtifactStore* store = nullptr;  // store-fetch path
   /// Fresh-solve path only: solve matrix-free (see ExperimentConfig).
   bool matrix_free = false;

@@ -85,7 +85,7 @@ fs::path KleArtifactStore::lock_path_for(const KleArtifactConfig& config) const 
   return root_ / (key_string(artifact_key(config)) + ".lock");
 }
 
-std::shared_ptr<const StoredKleResult> KleArtifactStore::load_from_disk(
+std::shared_ptr<const core::KleResult> KleArtifactStore::load_from_disk(
     std::uint64_t key, const fs::path& path) {
   std::error_code ec;
   if (!fs::exists(path, ec) || ec) return nullptr;
@@ -94,16 +94,18 @@ std::shared_ptr<const StoredKleResult> KleArtifactStore::load_from_disk(
   try {
     // Transient read failures (EIO, injected store_read faults) are retried
     // with bounded backoff before we give up on the disk copy.
-    auto loaded = std::make_shared<const StoredKleResult>(robust::retry_bounded(
+    StoredKleResult stored = robust::retry_bounded(
         options_.retry, [&] { return read_kle_file(path.string()); },
-        is_transient, &stats));
+        is_transient, &stats);
     read_retries_ += static_cast<std::size_t>(stats.retried);
     obs::counter("sckl.store.read_retries")
         .add(static_cast<std::uint64_t>(stats.retried));
     // Defend against renamed/colliding files: the stored config must hash
     // back to the file's own key.
-    if (artifact_key(loaded->config()) == key) {
-      cache_.put(key, loaded, loaded->approximate_bytes());
+    if (artifact_key(stored.config) == key) {
+      auto loaded =
+          std::make_shared<const core::KleResult>(std::move(stored.kle));
+      cache_.put(key, loaded, loaded->resident_bytes());
       return loaded;
     }
     // Valid file, wrong content for its name: quarantine the evidence and
@@ -124,12 +126,13 @@ std::shared_ptr<const StoredKleResult> KleArtifactStore::load_from_disk(
 }
 
 void KleArtifactStore::publish(const fs::path& path,
-                               const StoredKleResult& solved) {
+                               const KleArtifactConfig& config,
+                               const core::KleResult& solved) {
   obs::Span span("store.publish");
   const fs::path tmp = path.string() + unique_tmp_suffix();
   // write_kle_file fsyncs the tmp bytes (and hosts the store_write fault
   // site plus the store_write_pre_fsync crash point).
-  write_kle_file(tmp.string(), solved);
+  write_kle_file(tmp.string(), config, solved);
   // A kill here leaves a durable but unpublished tmp file: fsck/gc reap it,
   // and no reader ever saw a partial artifact under the final name.
   robust::crash_point(robust::FaultSite::kStoreWritePreRename);
@@ -212,15 +215,15 @@ FetchResult KleArtifactStore::get_or_compute(
 
   auto solved = [&] {
     obs::Span solve_span("store.solve");
-    return std::make_shared<const StoredKleResult>(
-        StoredKleResult::solve(config, kernel));
+    return std::make_shared<const core::KleResult>(
+        solve_artifact(config, kernel));
   }();
   if (options_.write_through) {
     robust::RetryStats stats;
     try {
       robust::retry_bounded(
-          options_.retry, [&] { publish(path, *solved); }, is_transient,
-          &stats);
+          options_.retry, [&] { publish(path, config, *solved); },
+          is_transient, &stats);
       write_retries_ += static_cast<std::size_t>(stats.retried);
       obs::counter("sckl.store.write_retries")
           .add(static_cast<std::uint64_t>(stats.retried));
@@ -235,7 +238,7 @@ FetchResult KleArtifactStore::get_or_compute(
       obs::counter("sckl.store.failed_writes").add(1);
     }
   }
-  cache_.put(key, solved, solved->approximate_bytes());
+  cache_.put(key, solved, solved->resident_bytes());
   obs::counter("sckl.store.fetch.solved").add(1);
   result.artifact = std::move(solved);
   result.source = FetchSource::kSolved;
@@ -278,7 +281,7 @@ bool KleArtifactStore::contains(const KleArtifactConfig& config) const {
     const StoredKleResult loaded = robust::retry_bounded(
         options_.retry, [&] { return read_kle_file(path.string()); },
         is_transient);
-    return artifact_key(loaded.config()) == artifact_key(config);
+    return artifact_key(loaded.config) == artifact_key(config);
   } catch (const Error&) {
     return false;
   }
@@ -334,7 +337,7 @@ GcReport KleArtifactStore::gc(const GcOptions& options) {
       const StoredKleResult loaded = robust::retry_bounded(
           options_.retry, [&] { return read_kle_file(path.string()); },
           is_transient);
-      if (key_string(artifact_key(loaded.config())) != path.stem().string())
+      if (key_string(artifact_key(loaded.config)) != path.stem().string())
         report.candidates.push_back({path, "key mismatch"});
     } catch (const Error& e) {
       // A read that stays transient after retries proves nothing about the

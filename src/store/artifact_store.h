@@ -91,9 +91,10 @@ enum class FetchSource {
 
 const char* to_string(FetchSource source);
 
-/// One artifact fetch: the (shared, immutable) result plus provenance.
+/// One artifact fetch: the (shared, immutable) result plus provenance. The
+/// config is the caller's own key.
 struct FetchResult {
-  std::shared_ptr<const StoredKleResult> artifact;
+  std::shared_ptr<const core::KleResult> artifact;
   FetchSource source = FetchSource::kSolved;
   double seconds = 0.0;  // wall time of this fetch
 };
@@ -183,16 +184,17 @@ class KleArtifactStore {
 
   /// Durable atomic publish: unique tmp + fsync + rename + directory fsync.
   /// Throws kIoTransient on failure (tmp is cleaned up best-effort).
-  void publish(const std::filesystem::path& path, const StoredKleResult& solved);
+  void publish(const std::filesystem::path& path,
+               const KleArtifactConfig& config, const core::KleResult& solved);
 
   /// Attempts a validated disk load of `key` at `path`; returns nullptr on
   /// miss and on failures (which are counted / quarantined as usual).
-  std::shared_ptr<const StoredKleResult> load_from_disk(
+  std::shared_ptr<const core::KleResult> load_from_disk(
       std::uint64_t key, const std::filesystem::path& path);
 
   std::filesystem::path root_;
   StoreOptions options_;
-  LruCache<std::uint64_t, StoredKleResult> cache_;
+  LruCache<std::uint64_t, core::KleResult> cache_;
   std::atomic<std::size_t> read_retries_{0};
   std::atomic<std::size_t> write_retries_{0};
   std::atomic<std::size_t> failed_reads_{0};

@@ -32,42 +32,12 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
   return wire::crc32(data, size);
 }
 
-StoredKleResult::StoredKleResult(KleArtifactConfig config,
-                                 std::shared_ptr<const mesh::TriMesh> mesh,
-                                 linalg::Vector eigenvalues,
-                                 linalg::Matrix coefficients)
-    : config_(std::move(config)),
-      mesh_((require(mesh != nullptr, "StoredKleResult: mesh must not be null"),
-             std::move(mesh))),
-      kle_(*mesh_, std::move(eigenvalues), std::move(coefficients)) {}
-
-StoredKleResult StoredKleResult::solve(const KleArtifactConfig& config,
-                                       const kernels::CovarianceKernel& kernel) {
-  auto mesh = std::make_shared<const mesh::TriMesh>(config.mesh.build(config.die));
+core::KleResult solve_artifact(const KleArtifactConfig& config,
+                               const kernels::CovarianceKernel& kernel) {
   core::KleOptions options;
   options.num_eigenpairs = static_cast<std::size_t>(config.num_eigenpairs);
   options.quadrature = config.quadrature;
-  core::KleResult kle = core::solve_kle(*mesh, kernel, options);
-  linalg::Vector values = kle.eigenvalues();
-  linalg::Matrix coefficients = kle.coefficients();
-  return StoredKleResult(config, std::move(mesh), std::move(values),
-                         std::move(coefficients));
-}
-
-std::size_t StoredKleResult::approximate_bytes() const {
-  const std::size_t mesh_bytes =
-      mesh_->num_vertices() * sizeof(geometry::Point2) +
-      mesh_->num_triangles() *
-          (sizeof(mesh::TriMesh::TriangleIndices) + sizeof(double) +
-           sizeof(geometry::Point2));
-  const std::size_t spectrum_bytes =
-      kle_.eigenvalues().size() * sizeof(double) +
-      kle_.coefficients().rows() * kle_.coefficients().cols() * sizeof(double);
-  // The spatial locator stores one bucket entry per triangle on average
-  // plus grid overhead; 2x the triangle count is a fair charge.
-  const std::size_t locator_bytes =
-      2 * mesh_->num_triangles() * sizeof(std::size_t);
-  return mesh_bytes + spectrum_bytes + locator_bytes;
+  return core::solve_kle(config.mesh.build(config.die), kernel, options);
 }
 
 void append_artifact_config(std::vector<std::uint8_t>& out,
@@ -117,11 +87,10 @@ KleArtifactConfig read_artifact_config(wire::ByteReader& r) {
   return config;
 }
 
-std::vector<std::uint8_t> encode_kle(const StoredKleResult& stored) {
+std::vector<std::uint8_t> encode_kle(const KleArtifactConfig& config,
+                                     const core::KleResult& kle) {
   std::vector<std::uint8_t> payload;
-  const KleArtifactConfig& config = stored.config();
-  const mesh::TriMesh& mesh = stored.mesh();
-  const core::KleResult& kle = stored.kle();
+  const mesh::TriMesh& mesh = kle.mesh();
   payload.reserve(64 + config.kernel_id.size() +
                   mesh.num_vertices() * 16 + mesh.num_triangles() * 24 +
                   kle.eigenvalues().size() * 8 +
@@ -210,8 +179,7 @@ StoredKleResult decode_kle(const std::vector<std::uint8_t>& bytes) {
   std::vector<mesh::TriMesh::TriangleIndices> triangles(num_triangles);
   for (auto& t : triangles)
     for (auto& corner : t) corner = static_cast<std::size_t>(r.u64());
-  auto mesh = std::make_shared<const mesh::TriMesh>(std::move(vertices),
-                                                    std::move(triangles));
+  mesh::TriMesh mesh(std::move(vertices), std::move(triangles));
 
   const std::uint64_t num_values = r.u64();
   if (num_values > payload_size)
@@ -236,16 +204,18 @@ StoredKleResult decode_kle(const std::vector<std::uint8_t>& bytes) {
                 "mis-declared size)",
                 ErrorCode::kCorruptArtifact);
 
-  return StoredKleResult(std::move(config), std::move(mesh),
-                         std::move(eigenvalues), std::move(coefficients));
+  return {std::move(config),
+          core::KleResult(std::move(mesh), std::move(eigenvalues),
+                          std::move(coefficients))};
 }
 
-void write_kle_file(const std::string& path, const StoredKleResult& stored) {
+void write_kle_file(const std::string& path, const KleArtifactConfig& config,
+                    const core::KleResult& kle) {
   if (robust::fault_injected(robust::FaultSite::kStoreWrite))
     throw Error("kle_io: write failure injected at fault site 'store_write' "
                 "for '" + path + "'",
                 ErrorCode::kIoTransient);
-  const std::vector<std::uint8_t> bytes = encode_kle(stored);
+  const std::vector<std::uint8_t> bytes = encode_kle(config, kle);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr)
     throw Error("kle_io: cannot open '" + path + "' for writing",

@@ -25,15 +25,12 @@
 // does not match — corruption is never silently accepted. Round-trips are
 // bit-exact: every double survives unchanged through the u64 bit pattern.
 //
-// StoredKleResult is the ownership-fixing wrapper around core::KleResult:
-// KleResult intentionally borrows its mesh (see kle_solver.h), which is
-// wrong for deserialized artifacts that have no other owner. StoredKleResult
-// keeps the mesh alive via shared_ptr and rebuilds the KleResult view on it,
-// so artifacts are fully self-contained.
+// The artifact is the (config, result) pair: the config keys the file, and
+// core::KleResult owns the mesh it was solved on, so a decoded artifact
+// needs nothing else to stay usable.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,37 +42,16 @@ namespace sckl::store {
 /// Current serialization format version.
 inline constexpr std::uint32_t kKleFormatVersion = 1;
 
-/// A solved KLE that owns every byte of its state, including the mesh.
-class StoredKleResult {
- public:
-  /// Wraps freshly solved or deserialized data. The mesh pointer must be
-  /// non-null; eigenvalue/coefficient shapes are validated by KleResult.
-  StoredKleResult(KleArtifactConfig config,
-                  std::shared_ptr<const mesh::TriMesh> mesh,
-                  linalg::Vector eigenvalues, linalg::Matrix coefficients);
-
-  /// Solves the KLE described by `config` with `kernel` and wraps the
-  /// result (the cache-miss path of the artifact store).
-  static StoredKleResult solve(const KleArtifactConfig& config,
-                               const kernels::CovarianceKernel& kernel);
-
-  const KleArtifactConfig& config() const { return config_; }
-  const mesh::TriMesh& mesh() const { return *mesh_; }
-  std::shared_ptr<const mesh::TriMesh> mesh_ptr() const { return mesh_; }
-
-  /// The standard KLE view (eigenvalues, coefficients, eigenfunction
-  /// evaluation). Valid for the lifetime of this object.
-  const core::KleResult& kle() const { return kle_; }
-
-  /// Approximate resident size in bytes (mesh + spectrum + locator), used
-  /// as the LRU charge of this artifact.
-  std::size_t approximate_bytes() const;
-
- private:
-  KleArtifactConfig config_;
-  std::shared_ptr<const mesh::TriMesh> mesh_;
-  core::KleResult kle_;  // views *mesh_, which this object keeps alive
+/// One decoded artifact file: the config it was solved for and the result.
+struct StoredKleResult {
+  KleArtifactConfig config;
+  core::KleResult kle;
 };
+
+/// Solves the KLE described by `config` with `kernel` (the cache-miss path
+/// of the artifact store).
+core::KleResult solve_artifact(const KleArtifactConfig& config,
+                               const kernels::CovarianceKernel& kernel);
 
 /// Appends the artifact-config section of the payload (kernel id + params,
 /// die rectangle, mesh spec, quadrature, eigenpair count) to `out`. Shared
@@ -89,22 +65,25 @@ void append_artifact_config(std::vector<std::uint8_t>& out,
 /// artifact for files, protocol for network frames).
 KleArtifactConfig read_artifact_config(wire::ByteReader& r);
 
-/// Serializes to the format described above.
-std::vector<std::uint8_t> encode_kle(const StoredKleResult& stored);
+/// Serializes `kle`, solved for `config`, to the format described above.
+std::vector<std::uint8_t> encode_kle(const KleArtifactConfig& config,
+                                     const core::KleResult& kle);
 
 /// Parses an encoded artifact; throws sckl::Error on truncation, bad magic,
 /// unsupported version, or checksum mismatch.
 StoredKleResult decode_kle(const std::vector<std::uint8_t>& bytes);
 
-/// Writes `stored` to `path` durably: the bytes are flushed *and fsync'd*
-/// before the call returns, so a subsequent rename of `path` publishes a
-/// file whose content survives power loss. Not atomic by itself — the
-/// artifact store wraps this in a tmp-file + rename + directory-fsync dance;
-/// direct callers get plain (but durable) semantics. I/O failures throw
-/// sckl::Error with code kIoTransient (the store retries these); the
-/// deterministic fault site `store_write` injects here, and the crash point
-/// `store_write_pre_fsync` kills the process between write and fsync.
-void write_kle_file(const std::string& path, const StoredKleResult& stored);
+/// Writes the encoded (config, kle) artifact to `path` durably: the bytes
+/// are flushed *and fsync'd* before the call returns, so a subsequent rename
+/// of `path` publishes a file whose content survives power loss. Not atomic
+/// by itself — the artifact store wraps this in a tmp-file + rename +
+/// directory-fsync dance; direct callers get plain (but durable) semantics.
+/// I/O failures throw sckl::Error with code kIoTransient (the store retries
+/// these); the deterministic fault site `store_write` injects here, and the
+/// crash point `store_write_pre_fsync` kills the process between write and
+/// fsync.
+void write_kle_file(const std::string& path, const KleArtifactConfig& config,
+                    const core::KleResult& kle);
 
 /// fsyncs the directory `dir` so a just-renamed entry in it is durable (on
 /// POSIX, rename durability requires syncing the containing directory).

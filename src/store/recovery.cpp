@@ -144,7 +144,7 @@ FsckResult fsck(const fs::path& root, const FsckOptions& options) {
 
     try {
       const StoredKleResult loaded = read_kle_file(path.string());
-      if (key_string(artifact_key(loaded.config())) == path.stem().string()) {
+      if (key_string(artifact_key(loaded.config)) == path.stem().string()) {
         ++stats.healthy;
         continue;
       }

@@ -25,6 +25,7 @@
 #include "core/analytic_kle.h"
 #include "core/galerkin.h"
 #include "core/kle_field.h"
+#include "core/kle_health.h"
 #include "core/kle_solver.h"
 #include "core/quadrature.h"
 #include "core/truncation.h"
@@ -458,6 +459,21 @@ TEST(KleSolver, MoreEigenpairsReduceReconstructionError) {
   const double e30 = max_error(30);
   EXPECT_GT(e5, e15);
   EXPECT_GE(e15, e30 - 1e-6);
+}
+
+TEST(KleResult, OutlivesTheMeshItWasSolvedOn) {
+  // The mesh is a temporary that dies with the full expression; the result
+  // must keep reading its own copy.
+  const kernels::GaussianKernel kernel(2.0);
+  KleOptions options;
+  options.num_eigenpairs = 8;
+  const KleResult kle = solve_kle(
+      mesh::structured_mesh_for_count(BoundingBox::unit_die(), 200), kernel,
+      options);
+  double area = 0.0;
+  for (std::size_t i = 0; i < kle.basis_size(); ++i) area += kle.mesh().area(i);
+  EXPECT_NEAR(area, 4.0, 1e-12);  // the die [-1, 1]^2
+  EXPECT_TRUE(check_kle_health(kle).ok());
 }
 
 TEST(Truncation, PaperCriterionSelectsSmallR) {

@@ -133,6 +133,32 @@ TEST(P1Kernel, TotalVarianceMatchesDomainArea) {
   EXPECT_NEAR(sum, 4.0, 0.15);  // quadrature error only
 }
 
+TEST(P1Kle, OutlivesTheMeshItWasSolvedOn) {
+  // eigenfunction_value reads the mesh on every call, so a result solved on
+  // a temporary mesh must hold its own copy.
+  const kernels::GaussianKernel kernel(2.0);
+  core::P1KleOptions options;
+  options.num_eigenpairs = 8;
+  const core::P1KleResult kle = core::solve_p1_kle(
+      mesh::structured_mesh_for_count(BoundingBox::unit_die(), 200), kernel,
+      options);
+  double area = 0.0;
+  for (std::size_t i = 0; i < kle.mesh().num_triangles(); ++i)
+    area += kle.mesh().area(i);
+  EXPECT_NEAR(area, 4.0, 1e-12);  // the die [-1, 1]^2
+
+  const mesh::TriMesh mesh =
+      mesh::structured_mesh_for_count(BoundingBox::unit_die(), 200);
+  const core::P1KleResult reference =
+      core::solve_p1_kle(mesh, kernel, options);
+  for (const geometry::Point2 x : {geometry::Point2{0.1, -0.2},
+                                   geometry::Point2{-0.7, 0.45}})
+    for (std::size_t j = 0; j < 8; ++j)
+      EXPECT_EQ(kle.eigenfunction_value(j, x),
+                reference.eigenfunction_value(j, x))
+          << "pair " << j;
+}
+
 TEST(P1Kle, MatchesAnalyticSeparableKernel) {
   const double c = 1.0;
   const kernels::SeparableL1Kernel kernel(c);

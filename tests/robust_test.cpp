@@ -696,7 +696,7 @@ TEST(StoreResilienceTest, PersistentReadFaultFallsBackToFreshSolve) {
   // Every read attempt failed; the chain ended in a fresh solve anyway.
   EXPECT_EQ(fetch.source, store::FetchSource::kSolved);
   ASSERT_NE(fetch.artifact, nullptr);
-  EXPECT_GT(fetch.artifact->kle().eigenvalue(0), 0.0);
+  EXPECT_GT(fetch.artifact->eigenvalue(0), 0.0);
   // A cold key probes the disk twice — once before the per-key solve lock
   // and once after acquiring it (a lock winner may have published while we
   // waited) — so a persistent fault is charged two retry rounds.
@@ -732,7 +732,7 @@ TEST(StoreResilienceTest, PersistentWriteFaultDegradesToMemoryOnly) {
   const store::FetchResult fetch = store.get_or_compute(config, kernel);
   // The result is fully usable despite persistence failing...
   ASSERT_NE(fetch.artifact, nullptr);
-  EXPECT_GT(fetch.artifact->kle().eigenvalue(0), 0.0);
+  EXPECT_GT(fetch.artifact->eigenvalue(0), 0.0);
   EXPECT_FALSE(fs::exists(store.path_for(config)));
   EXPECT_EQ(store.health().failed_writes, 1u);
   // ...and is served from memory on the next hit.

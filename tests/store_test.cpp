@@ -37,7 +37,11 @@ store::KleArtifactConfig small_config() {
 
 store::StoredKleResult small_artifact() {
   const kernels::GaussianKernel kernel(2.0);
-  return store::StoredKleResult::solve(small_config(), kernel);
+  return {small_config(), store::solve_artifact(small_config(), kernel)};
+}
+
+std::vector<std::uint8_t> encode(const store::StoredKleResult& artifact) {
+  return store::encode_kle(artifact.config, artifact.kle);
 }
 
 /// Fresh scratch directory under the gtest temp root.
@@ -59,27 +63,27 @@ bool bit_equal(double a, double b) {
 
 TEST(KleIoTest, RoundTripIsBitExact) {
   const store::StoredKleResult original = small_artifact();
-  const std::vector<std::uint8_t> bytes = store::encode_kle(original);
+  const std::vector<std::uint8_t> bytes = encode(original);
   const store::StoredKleResult copy = store::decode_kle(bytes);
 
-  ASSERT_EQ(copy.mesh().num_vertices(), original.mesh().num_vertices());
-  ASSERT_EQ(copy.mesh().num_triangles(), original.mesh().num_triangles());
-  for (std::size_t v = 0; v < copy.mesh().num_vertices(); ++v) {
-    EXPECT_TRUE(bit_equal(copy.mesh().vertices()[v].x,
-                          original.mesh().vertices()[v].x));
-    EXPECT_TRUE(bit_equal(copy.mesh().vertices()[v].y,
-                          original.mesh().vertices()[v].y));
+  const mesh::TriMesh& mesh_a = original.kle.mesh();
+  const mesh::TriMesh& mesh_b = copy.kle.mesh();
+  ASSERT_EQ(mesh_b.num_vertices(), mesh_a.num_vertices());
+  ASSERT_EQ(mesh_b.num_triangles(), mesh_a.num_triangles());
+  for (std::size_t v = 0; v < mesh_b.num_vertices(); ++v) {
+    EXPECT_TRUE(bit_equal(mesh_b.vertices()[v].x, mesh_a.vertices()[v].x));
+    EXPECT_TRUE(bit_equal(mesh_b.vertices()[v].y, mesh_a.vertices()[v].y));
   }
-  EXPECT_EQ(copy.mesh().triangle_indices(), original.mesh().triangle_indices());
+  EXPECT_EQ(mesh_b.triangle_indices(), mesh_a.triangle_indices());
 
-  const auto& lambda_a = original.kle().eigenvalues();
-  const auto& lambda_b = copy.kle().eigenvalues();
+  const auto& lambda_a = original.kle.eigenvalues();
+  const auto& lambda_b = copy.kle.eigenvalues();
   ASSERT_EQ(lambda_a.size(), lambda_b.size());
   for (std::size_t j = 0; j < lambda_a.size(); ++j)
     EXPECT_TRUE(bit_equal(lambda_a[j], lambda_b[j])) << "lambda " << j;
 
-  const auto& d_a = original.kle().coefficients();
-  const auto& d_b = copy.kle().coefficients();
+  const auto& d_a = original.kle.coefficients();
+  const auto& d_b = copy.kle.coefficients();
   ASSERT_EQ(d_a.rows(), d_b.rows());
   ASSERT_EQ(d_a.cols(), d_b.cols());
   for (std::size_t i = 0; i < d_a.rows(); ++i)
@@ -87,23 +91,22 @@ TEST(KleIoTest, RoundTripIsBitExact) {
       EXPECT_TRUE(bit_equal(d_a(i, j), d_b(i, j))) << "d(" << i << "," << j
                                                    << ")";
 
-  EXPECT_EQ(copy.config().kernel_id, original.config().kernel_id);
-  EXPECT_EQ(copy.config().kernel_params, original.config().kernel_params);
-  EXPECT_EQ(store::artifact_key(copy.config()),
-            store::artifact_key(original.config()));
+  EXPECT_EQ(copy.config.kernel_id, original.config.kernel_id);
+  EXPECT_EQ(copy.config.kernel_params, original.config.kernel_params);
+  EXPECT_EQ(store::artifact_key(copy.config),
+            store::artifact_key(original.config));
 }
 
 TEST(KleIoTest, FileRoundTripMatchesBufferRoundTrip) {
   const store::StoredKleResult original = small_artifact();
   const fs::path path = scratch_dir("io_file") / "artifact.sckl";
-  store::write_kle_file(path.string(), original);
+  store::write_kle_file(path.string(), original.config, original.kle);
   const store::StoredKleResult loaded = store::read_kle_file(path.string());
-  EXPECT_EQ(store::encode_kle(loaded), store::encode_kle(original));
+  EXPECT_EQ(encode(loaded), encode(original));
 }
 
 TEST(KleIoTest, TruncatedFileIsRejected) {
-  const store::StoredKleResult original = small_artifact();
-  std::vector<std::uint8_t> bytes = store::encode_kle(original);
+  const std::vector<std::uint8_t> bytes = encode(small_artifact());
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{3}, std::size_t{17},
         bytes.size() / 2, bytes.size() - 1}) {
@@ -114,8 +117,7 @@ TEST(KleIoTest, TruncatedFileIsRejected) {
 }
 
 TEST(KleIoTest, CorruptedPayloadIsRejectedByChecksum) {
-  const store::StoredKleResult original = small_artifact();
-  std::vector<std::uint8_t> bytes = store::encode_kle(original);
+  std::vector<std::uint8_t> bytes = encode(small_artifact());
   bytes[bytes.size() / 2] ^= 0x40;  // flip one payload bit
   try {
     store::decode_kle(bytes);
@@ -126,8 +128,7 @@ TEST(KleIoTest, CorruptedPayloadIsRejectedByChecksum) {
 }
 
 TEST(KleIoTest, WrongMagicAndVersionAreRejected) {
-  const store::StoredKleResult original = small_artifact();
-  std::vector<std::uint8_t> bytes = store::encode_kle(original);
+  const std::vector<std::uint8_t> bytes = encode(small_artifact());
 
   std::vector<std::uint8_t> bad_magic = bytes;
   bad_magic[0] = 'X';
@@ -143,20 +144,44 @@ TEST(KleIoTest, WrongMagicAndVersionAreRejected) {
   }
 }
 
+TEST(KleIoTest, EncodedBytesArePinned) {
+  // A literal artifact (no solve, no libm call) pins the version-1 byte
+  // layout, so stores written by earlier builds stay readable.
+  store::KleArtifactConfig config;
+  config.kernel_id = "gaussian";
+  config.kernel_params = {2.0};
+  config.mesh.kind = store::MeshSpec::Kind::kStructuredCross;
+  config.mesh.target_triangles = 2;
+  config.num_eigenpairs = 2;
+  mesh::TriMesh mesh({{-1.0, -1.0}, {1.0, -1.0}, {1.0, 1.0}, {-1.0, 1.0}},
+                     {{0, 1, 2}, {0, 2, 3}});
+  const core::KleResult kle(std::move(mesh), {1.5, 0.5},
+                            linalg::Matrix::from_rows({{0.5, 0.25},
+                                                       {0.5, -0.25}}));
+  const std::vector<std::uint8_t> bytes = store::encode_kle(config, kle);
+  ASSERT_EQ(bytes.size(), 316u);
+  std::uint64_t fnv = 14695981039346656037ull;  // plain FNV-1a 64
+  for (const std::uint8_t byte : bytes) {
+    fnv ^= byte;
+    fnv *= 1099511628211ull;
+  }
+  EXPECT_EQ(fnv, 0xdc09478cecc55a19ull);
+}
+
 TEST(KleIoTest, StoredResultOwnsItsMesh) {
-  // A deserialized artifact must stay fully usable with no external mesh —
-  // the KleResult dangling-reference hazard the wrapper exists to fix.
+  // A deserialized artifact must stay fully usable with no external mesh:
+  // the decoded KleResult owns the mesh it was read with.
   std::unique_ptr<store::StoredKleResult> copy;
   {
     const store::StoredKleResult original = small_artifact();
     copy = std::make_unique<store::StoredKleResult>(
-        store::decode_kle(store::encode_kle(original)));
+        store::decode_kle(encode(original)));
     // `original` (and its mesh) die here.
   }
-  EXPECT_GT(copy->kle().eigenvalue(0), 0.0);
-  EXPECT_GE(copy->kle().eigenfunction_value(0, {0.1, -0.2}), -1e9);
+  EXPECT_GT(copy->kle.eigenvalue(0), 0.0);
+  EXPECT_GE(copy->kle.eigenfunction_value(0, {0.1, -0.2}), -1e9);
   const std::vector<geometry::Point2> gates{{0.0, 0.0}, {0.5, 0.5}};
-  const field::KleFieldSampler sampler(*copy, 8, gates);
+  const field::KleFieldSampler sampler(copy->kle, 8, gates);
   linalg::Matrix block;
   sampler.sample_block(field::SampleRange{0, 4}, StreamKey{7, 0}, block);
   EXPECT_EQ(block.rows(), 4u);
@@ -328,8 +353,9 @@ TEST(ArtifactStoreTest, GetOrComputeMatchesFreshSolveBitExactly) {
   const store::FetchResult cold = store.get_or_compute(config, kernel);
   EXPECT_EQ(cold.source, store::FetchSource::kSolved);
 
-  const store::StoredKleResult fresh = store::StoredKleResult::solve(config, kernel);
-  EXPECT_EQ(store::encode_kle(*cold.artifact), store::encode_kle(fresh));
+  const core::KleResult fresh = store::solve_artifact(config, kernel);
+  EXPECT_EQ(store::encode_kle(config, *cold.artifact),
+            store::encode_kle(config, fresh));
 }
 
 TEST(ArtifactStoreTest, MemoryThenDiskHitsAndStats) {
@@ -353,13 +379,34 @@ TEST(ArtifactStoreTest, MemoryThenDiskHitsAndStats) {
   store::KleArtifactStore reopened(root);
   const store::FetchResult disk = reopened.get_or_compute(config, kernel);
   EXPECT_EQ(disk.source, store::FetchSource::kDisk);
-  EXPECT_EQ(store::encode_kle(*disk.artifact),
-            store::encode_kle(*cold.artifact));
+  EXPECT_EQ(store::encode_kle(config, *disk.artifact),
+            store::encode_kle(config, *cold.artifact));
 
   // Dropping the memory cache forces the disk path again.
   store.drop_memory_cache();
   EXPECT_EQ(store.get_or_compute(config, kernel).source,
             store::FetchSource::kDisk);
+}
+
+TEST(ArtifactStoreTest, CacheChargeCoversWhatTheResultHolds) {
+  // The LRU charge must cover the mesh, the spectrum and at least the
+  // locator's own copy of every triangle.
+  const fs::path root = scratch_dir("store_charge");
+  const kernels::GaussianKernel kernel(2.0);
+  store::KleArtifactStore store(root);
+  const store::FetchResult fetch = store.get_or_compute(small_config(), kernel);
+  const core::KleResult& kle = *fetch.artifact;
+  const std::size_t n = kle.basis_size();
+  const std::size_t mesh_bytes =
+      kle.mesh().num_vertices() * sizeof(geometry::Point2) +
+      n * (sizeof(mesh::TriMesh::TriangleIndices) + sizeof(double) +
+           sizeof(geometry::Point2));
+  const std::size_t spectrum_bytes =
+      (kle.num_eigenpairs() + n * kle.num_eigenpairs()) * sizeof(double);
+  const std::size_t floor =
+      mesh_bytes + spectrum_bytes + n * sizeof(geometry::Triangle);
+  EXPECT_EQ(store.cache_stats().bytes, kle.resident_bytes());
+  EXPECT_GE(kle.resident_bytes(), floor);
 }
 
 TEST(ArtifactStoreTest, CorruptedFileIsResolvedAndRewritten) {
@@ -457,7 +504,9 @@ TEST(ArtifactStoreTest, DifferentConfigsGetDifferentFiles) {
   store::KleArtifactStore reopened(root);
   const auto got_b = reopened.get_or_compute(b, k3);
   EXPECT_EQ(got_b.source, store::FetchSource::kDisk);
-  EXPECT_EQ(got_b.artifact->config().kernel_params, std::vector<double>{3.0});
+  EXPECT_EQ(store::read_kle_file(reopened.path_for(b).string())
+                .config.kernel_params,
+            std::vector<double>{3.0});
 }
 
 // --- FileLock --------------------------------------------------------------
