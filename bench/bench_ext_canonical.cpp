@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     const timing::StaEngine engine(netlist, placement, library);
     const auto locations = placement.physical_locations(netlist);
     const field::KleFieldSampler sampler(kle, r, locations);
-    const linalg::Matrix& g = sampler.field().location_operator();
+    const linalg::Matrix& g = sampler.operator_transposed();
 
     const ssta::CanonicalSstaResult canonical =
         ssta::run_canonical_ssta(engine, {&g, &g, &g, &g});

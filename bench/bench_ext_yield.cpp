@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   options.keep_samples = true;
   const ssta::McSstaResult mc = run_monte_carlo_ssta(
       engine, {&sampler, &sampler, &sampler, &sampler}, options);
-  const linalg::Matrix& g = sampler.field().location_operator();
+  const linalg::Matrix& g = sampler.operator_transposed();
   const ssta::CanonicalSstaResult canonical =
       ssta::run_canonical_ssta(engine, {&g, &g, &g, &g});
 
@@ -104,7 +104,8 @@ int main(int argc, char** argv) {
     linalg::Matrix xi;
     field::latin_hypercube_normal(
         n_rep, r, StreamKey{500 + static_cast<std::uint64_t>(rep), 1}, xi);
-    const linalg::Matrix lhs_block = sampler.field().reconstruct_block(xi);
+    linalg::Matrix lhs_block;
+    sampler.reconstruct(xi, lhs_block);
     RunningStats lhs_stat;
     for (std::size_t i = 0; i < n_rep; ++i) {
       timing::ParameterView view{lhs_block.row_ptr(i), lhs_block.row_ptr(i),

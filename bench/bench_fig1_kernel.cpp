@@ -12,8 +12,8 @@
 #include "common/cli.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "core/kle_field.h"
 #include "core/kle_solver.h"
+#include "field/kle_sampler.h"
 #include "kernels/kernel_fit.h"
 #include "kernels/kernel_library.h"
 #include "mesh/refine.h"
@@ -57,18 +57,18 @@ int main(int argc, char** argv) {
                                     static_cast<double>(grid - 1),
                         -0.99 + 1.98 * static_cast<double>(j) /
                                     static_cast<double>(grid - 1)});
-  const core::KleField field(kle, r, probes);
+  const field::KleFieldSampler sampler(kle, r, probes);
 
   Rng rng(flags.get_int("seed", 2008));
   TextTable outcomes;
   outcomes.set_header({"x", "y", "outcome1", "outcome2"});
-  linalg::Vector sample1;
-  linalg::Vector sample2;
-  field.reconstruct(rng.normal_vector(r), sample1);
-  field.reconstruct(rng.normal_vector(r), sample2);
+  const linalg::Vector xi1 = rng.normal_vector(r);
+  const linalg::Vector xi2 = rng.normal_vector(r);
+  linalg::Matrix samples;  // row k = outcome k + 1
+  sampler.reconstruct(linalg::Matrix::from_rows({xi1, xi2}), samples);
   for (std::size_t p = 0; p < probes.size(); ++p)
     outcomes.add_numeric_row(
-        {probes[p].x, probes[p].y, sample1[p], sample2[p]});
+        {probes[p].x, probes[p].y, samples(0, p), samples(1, p)});
   std::fputs(outcomes.to_string().c_str(), stdout);
   std::printf("\n# mesh: n = %zu triangles, min angle %.1f deg\n",
               mesh.num_triangles(), mesh.quality().min_angle_degrees);

@@ -84,17 +84,17 @@ store::KleArtifactConfig make_config(const CliFlags& flags,
   } else {
     throw Error("unknown --mesh '" + mesh + "' (paper, cross, diagonal)");
   }
-  config.mesh.target_triangles =
-      static_cast<std::uint64_t>(flags.get_int("triangles", 1546));
+  config.mesh.target_triangles = flags.get_size("triangles", 1546);
   config.mesh.area_fraction = flags.get_double("area-fraction", 0.001);
   config.mesh.mesher_seed =
       static_cast<std::uint64_t>(flags.get_int("mesh-seed", 1));
   const long quadrature = flags.get_int("quadrature", 1);
+  require(quadrature == 1 || quadrature == 3 || quadrature == 7,
+          "--quadrature must be 1, 3 or 7");
   config.quadrature = quadrature == 7   ? core::QuadratureRule::kSymmetric7
                       : quadrature == 3 ? core::QuadratureRule::kSymmetric3
                                         : core::QuadratureRule::kCentroid1;
-  config.num_eigenpairs =
-      static_cast<std::uint64_t>(flags.get_int("pairs", 50));
+  config.num_eigenpairs = flags.get_size("pairs", 50);
   return config;
 }
 

@@ -10,9 +10,9 @@
 #include <cstdio>
 
 #include "common/rng.h"
-#include "core/kle_field.h"
 #include "core/kle_solver.h"
 #include "core/truncation.h"
+#include "field/kle_sampler.h"
 #include "kernels/kernel_fit.h"
 #include "kernels/kernel_library.h"
 #include "mesh/refine.h"
@@ -48,14 +48,15 @@ int main() {
   // 5. Reconstruct the field at a few device locations from an r-dim draw.
   const std::vector<geometry::Point2> devices = {
       {-0.8, -0.8}, {-0.75, -0.8}, {0.0, 0.0}, {0.8, 0.8}};
-  const core::KleField field(kle, r, devices);
+  const field::KleFieldSampler sampler(kle, r, devices);
   Rng rng(1);
-  linalg::Vector values;
-  field.reconstruct(rng.normal_vector(r), values);
+  linalg::Matrix values;  // one sample (row) at the 4 devices
+  sampler.reconstruct(linalg::Matrix::from_rows({rng.normal_vector(r)}),
+                      values);
   std::printf("sample: normalized parameter values at 4 devices:\n");
   for (std::size_t i = 0; i < devices.size(); ++i)
     std::printf("        (%5.2f, %5.2f) -> %+.4f\n", devices[i].x,
-                devices[i].y, values[i]);
+                devices[i].y, values(0, i));
   std::printf("        (the first two devices are neighbors: their values"
               " track; the far corners do not)\n");
   return 0;

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   const core::KleResult kle = core::solve_kle(mesh, kernel, kle_options);
   const auto locations = placement.physical_locations(netlist);
   const field::KleFieldSampler sampler(kle, 25, locations);
-  const linalg::Matrix& g = sampler.field().location_operator();
+  const linalg::Matrix& g = sampler.operator_transposed();
 
   // 3. Canonical SSTA + attribution + yield.
   const ssta::CanonicalSstaResult canonical =

@@ -53,25 +53,21 @@ double CliFlags::get_double(const std::string& name, double fallback) const {
   return value;
 }
 
-namespace {
-
-std::size_t get_size(const CliFlags& flags, const std::string& name,
-                     std::size_t fallback) {
-  const long value = flags.get_int(name, static_cast<long>(fallback));
+std::size_t CliFlags::get_size(const std::string& name,
+                               std::size_t fallback) const {
+  const long value = get_int(name, static_cast<long>(fallback));
   require(value >= 0, "CliFlags: --" + name + " must be non-negative");
   return static_cast<std::size_t>(value);
 }
 
-}  // namespace
-
 void ExperimentFlagSet::apply(const CliFlags& flags) {
   circuit = flags.get_string("circuit", circuit);
-  num_samples = get_size(flags, "samples", num_samples);
-  r = get_size(flags, "r", r);
+  num_samples = flags.get_size("samples", num_samples);
+  r = flags.get_size("r", r);
   seed = static_cast<std::uint64_t>(
       flags.get_int("seed", static_cast<long>(seed)));
-  num_threads = get_size(flags, "threads", num_threads);
-  block_samples = get_size(flags, "block-samples", block_samples);
+  num_threads = flags.get_size("threads", num_threads);
+  block_samples = flags.get_size("block-samples", block_samples);
   require(block_samples <= kMaxBlockSamples,
           "ExperimentFlagSet: --block-samples exceeds the maximum of " +
               std::to_string(kMaxBlockSamples));

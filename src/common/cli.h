@@ -29,6 +29,10 @@ class CliFlags {
   /// Integer flag value; throws on malformed input.
   long get_int(const std::string& name, long fallback) const;
 
+  /// Count flag value; throws on malformed or negative input (which would
+  /// otherwise wrap to about 2^64).
+  std::size_t get_size(const std::string& name, std::size_t fallback) const;
+
   /// Double flag value; throws on malformed input.
   double get_double(const std::string& name, double fallback) const;
 

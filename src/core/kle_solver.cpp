@@ -77,18 +77,6 @@ double KleResult::reconstruct_kernel(geometry::Point2 x, geometry::Point2 y,
   return sum;
 }
 
-linalg::Matrix KleResult::reconstruction_operator(std::size_t r) const {
-  require(r > 0 && r <= eigenvalues_.size(),
-          "KleResult::reconstruction_operator: bad r");
-  linalg::Matrix d_lambda(coefficients_.rows(), r);
-  for (std::size_t j = 0; j < r; ++j) {
-    const double root = std::sqrt(eigenvalues_[j]);
-    for (std::size_t i = 0; i < coefficients_.rows(); ++i)
-      d_lambda(i, j) = coefficients_(i, j) * root;
-  }
-  return d_lambda;
-}
-
 std::size_t KleResult::resident_bytes() const {
   return sizeof(*this) +
          mesh_.vertices().capacity() * sizeof(geometry::Point2) +

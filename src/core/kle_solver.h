@@ -9,8 +9,10 @@
 //   - eigenfunction evaluation f_j(x) (constant per triangle, located via a
 //     spatial grid),
 //   - truncated kernel reconstruction K_hat(x,y) = sum lambda_j f_j(x) f_j(y)
-//     (Fig. 3b),
-//   - the reconstruction operator D_lambda = D_r sqrt(Lambda_r) of eq. 28.
+//     (Fig. 3b).
+// The reconstruction operator D_lambda = D_r sqrt(Lambda_r) of eq. 28 is
+// gathered at the gate locations by field::KleFieldSampler, the one
+// Algorithm 2 sampler.
 #pragma once
 
 #include <cstddef>
@@ -116,7 +118,7 @@ class KleResult {
   /// Triangle strictly containing x, or nullopt when x lies outside every
   /// mesh triangle (e.g. a gate legalized marginally off the die). Callers
   /// that resolve such points to the nearest triangle should count them —
-  /// see KleField::out_of_mesh_count().
+  /// see field::KleFieldSampler::out_of_mesh_count().
   std::optional<std::size_t> triangle_containing(geometry::Point2 x) const;
 
   /// Number of eigenvalues that came in negative (quadrature noise) and
@@ -128,10 +130,6 @@ class KleResult {
   /// Truncated reconstruction K_hat(x, y) from the first r eigenpairs.
   double reconstruct_kernel(geometry::Point2 x, geometry::Point2 y,
                             std::size_t r) const;
-
-  /// D_lambda = D_r * sqrt(Lambda_r): the n x r linear map of eq. 28 taking
-  /// a reduced sample xi to per-triangle parameter values.
-  linalg::Matrix reconstruction_operator(std::size_t r) const;
 
   /// Fraction of total basis variance captured by the first r eigenvalues.
   /// Total variance of the projected process equals the matrix trace, which

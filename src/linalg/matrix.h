@@ -2,9 +2,10 @@
 //
 // The library is self-contained: no BLAS/LAPACK/Eigen. Matrix is the single
 // dense container used by the Galerkin assembly (n x n kernel matrix), the
-// Cholesky field sampler (N_g x N_g covariance), and the KLE reconstruction
-// operator D_lambda (n x r). Element access is unchecked in release builds;
-// `at()` provides a checked variant used by tests.
+// Cholesky field sampler (N_g x N_g covariance), and the KLE sampler's
+// gathered reconstruction operator D_lambda^T (r x N_g). Element access is
+// unchecked in release builds; `at()` provides a checked variant used by
+// tests.
 #pragma once
 
 #include <cstddef>

@@ -110,11 +110,11 @@ using circuit::CellFunction;
 //
 //   factor(p) = 1 + b^T p + gamma (v^T p)^2
 //   E[factor] = 1 + gamma * Var(v^T p)          (p zero-mean normal)
-//   dfactor/dxi_i = b_j * G_j(gate, i)          (first order)
+//   dfactor/dxi_i = b_j * G_j^T(i, gate)        (first order)
 //   Var of the quadratic term = 2 gamma^2 Var(v^T p)^2 -> independent part.
 //
 // Var(v^T p) uses the per-gate reconstruction variance of each parameter,
-// sum_i G_j(gate, i)^2 (exact under the truncated KLE).
+// sum_i G_j^T(i, gate)^2 (exact under the truncated KLE).
 CanonicalForm arc_delay_form(double nominal, std::size_t physical_gate,
                              const timing::RankOneQuadratic& sens,
                              const ParameterOperators& operators,
@@ -123,17 +123,17 @@ CanonicalForm arc_delay_form(double nominal, std::size_t physical_gate,
   std::size_t offset = 0;
   double var_vp = 0.0;
   for (std::size_t j = 0; j < timing::kNumStatParameters; ++j) {
-    const linalg::Matrix& g = *operators[j];
-    const double* row = g.row_ptr(physical_gate);
+    const linalg::Matrix& g_t = *operators[j];
     const double b = sens.linear[j];
     const double v = sens.direction[j];
     double param_variance = 0.0;
-    for (std::size_t i = 0; i < g.cols(); ++i) {
-      s[offset + i] = nominal * b * row[i];
-      param_variance += row[i] * row[i];
+    for (std::size_t i = 0; i < g_t.rows(); ++i) {
+      const double entry = g_t(i, physical_gate);
+      s[offset + i] = nominal * b * entry;
+      param_variance += entry * entry;
     }
     var_vp += v * v * param_variance;
-    offset += g.cols();
+    offset += g_t.rows();
   }
   // Parameters are mutually independent, so Var(v^T p) adds per parameter.
   const double mean = nominal * (1.0 + sens.quadratic * var_vp);
@@ -151,9 +151,9 @@ CanonicalSstaResult run_canonical_ssta(const timing::StaEngine& engine,
   std::size_t basis_size = 0;
   for (const auto* op : operators) {
     require(op != nullptr, "run_canonical_ssta: missing operator");
-    require(op->rows() == num_physical,
+    require(op->cols() == num_physical,
             "run_canonical_ssta: operator gate count mismatch");
-    basis_size += op->cols();
+    basis_size += op->rows();
   }
 
   obs::Stopwatch timer;

@@ -13,9 +13,10 @@
 //     whatever variance the shared basis cannot represent;
 //   - gate delays are linearized at the nominal corner: the rank-one
 //     quadratic factor (1 + b^T p + gamma (v^T p)^2) contributes
-//     d0 * b_j * G_param(gate, i) to the sensitivity on xi_i, with G the
-//     per-gate KLE reconstruction operator, plus the exact mean/variance of
-//     the quadratic term folded into the mean and the independent part;
+//     d0 * b_j * G_param^T(i, gate) to the sensitivity on xi_i, with G^T
+//     the KLE sampler's r x N_g reconstruction operator (one column per
+//     gate), plus the exact mean/variance of the quadratic term folded
+//     into the mean and the independent part;
 //   - slews are propagated as canonical forms too: a slow upstream gate
 //     produces a slow edge that further slows downstream gates. The NLDM
 //     derivatives d(delay)/d(slew_in) and d(slew_out)/d(slew_in) are taken
@@ -34,7 +35,6 @@
 #include <array>
 #include <vector>
 
-#include "core/kle_field.h"
 #include "linalg/matrix.h"
 #include "timing/sta.h"
 
@@ -86,8 +86,9 @@ double normal_cdf(double x);
 double normal_pdf(double x);
 
 /// Per-parameter location operators: for each of the 4 statistical
-/// parameters, the (num_physical_gates x r) matrix G mapping the KLE RVs to
-/// that parameter's per-gate values (KleField::location_operator()).
+/// parameters, the (r x num_physical_gates) matrix G^T whose column g maps
+/// the KLE RVs to that parameter's value at gate g — the reconstruction
+/// operator of its sampler (field::KleFieldSampler::operator_transposed()).
 using ParameterOperators = std::array<const linalg::Matrix*,
                                       timing::kNumStatParameters>;
 
@@ -101,7 +102,7 @@ struct CanonicalSstaResult {
 /// Runs the canonical SSTA. The engine's nominal trace provides the
 /// linearization point (nominal arc delays and slews); `operators` supply
 /// the spatial-correlation structure. All four operators must have
-/// `engine`'s physical gate count as row count; their column counts (r) may
+/// `engine`'s physical gate count as column count; their row counts (r) may
 /// differ per parameter.
 CanonicalSstaResult run_canonical_ssta(const timing::StaEngine& engine,
                                        const ParameterOperators& operators);

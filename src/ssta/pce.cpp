@@ -102,9 +102,9 @@ PceAnalysis fit_worst_delay_pce(const timing::StaEngine& engine,
   std::size_t total_dims = 0;
   for (const auto* op : operators) {
     require(op != nullptr, "fit_worst_delay_pce: missing operator");
-    require(op->rows() == num_physical,
+    require(op->cols() == num_physical,
             "fit_worst_delay_pce: operator gate count mismatch");
-    total_dims += op->cols();
+    total_dims += op->rows();
   }
 
   // Selected dimensions: the leading modes of each parameter (the KLE's
@@ -114,12 +114,12 @@ PceAnalysis fit_worst_delay_pce(const timing::StaEngine& engine,
   std::size_t offset = 0;
   for (std::size_t j = 0; j < timing::kNumStatParameters; ++j) {
     const std::size_t keep =
-        std::min(options.dims_per_parameter, operators[j]->cols());
+        std::min(options.dims_per_parameter, operators[j]->rows());
     for (std::size_t m = 0; m < keep; ++m) {
       origin.emplace_back(j, m);
       global_index.push_back(offset + m);
     }
-    offset += operators[j]->cols();
+    offset += operators[j]->rows();
   }
   const std::size_t k = origin.size();
   const std::size_t b = basis_size(k);
@@ -138,19 +138,17 @@ PceAnalysis fit_worst_delay_pce(const timing::StaEngine& engine,
     field::fill_latent_normals(field::SampleRange{0, n}, key, total_dims, xi);
   }
 
-  // Reconstruct per-parameter gate values: P_j = Xi_j G_j^T.
+  // Reconstruct per-parameter gate values: P_j = Xi_j G_j^T, one blocked
+  // GEMM against the operator in its latent x locations layout.
   std::array<linalg::Matrix, timing::kNumStatParameters> gate_values;
   offset = 0;
   for (std::size_t j = 0; j < timing::kNumStatParameters; ++j) {
-    const std::size_t r = operators[j]->cols();
+    const std::size_t r = operators[j]->rows();
     linalg::Matrix xi_j(n, r);
     for (std::size_t i = 0; i < n; ++i)
       std::copy(xi.row_ptr(i) + offset, xi.row_ptr(i) + offset + r,
                 xi_j.row_ptr(i));
-    // One transpose per parameter puts the operator in the GEMM-ready
-    // latent x locations layout; the product then runs on the blocked
-    // SIMD kernels.
-    gate_values[j] = linalg::gemm_fast(xi_j, operators[j]->transposed());
+    gate_values[j] = linalg::gemm_fast(xi_j, *operators[j]);
     offset += r;
   }
 

@@ -78,9 +78,11 @@ struct PceAnalysis {
 };
 
 /// Fits the worst-delay PCE for `engine` under the spatial model given by
-/// the per-parameter KLE operators (see canonical.h). The selected basis
-/// dimensions are the leading `dims_per_parameter` KLE modes of each of the
-/// four parameters (eigenvalue order = variance order).
+/// the per-parameter r x N_g KLE operators (see canonical.h), each the
+/// sampler's own GEMM operand, so P_j = Xi_j G_j^T is one product with no
+/// transpose. The selected basis dimensions are the leading
+/// `dims_per_parameter` KLE modes of each of the four parameters
+/// (eigenvalue order = variance order).
 PceAnalysis fit_worst_delay_pce(const timing::StaEngine& engine,
                                 const ParameterOperators& operators,
                                 const PceOptions& options = {});

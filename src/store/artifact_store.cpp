@@ -218,25 +218,23 @@ FetchResult KleArtifactStore::get_or_compute(
     return std::make_shared<const core::KleResult>(
         solve_artifact(config, kernel));
   }();
-  if (options_.write_through) {
-    robust::RetryStats stats;
-    try {
-      robust::retry_bounded(
-          options_.retry, [&] { publish(path, config, *solved); },
-          is_transient, &stats);
-      write_retries_ += static_cast<std::size_t>(stats.retried);
-      obs::counter("sckl.store.write_retries")
-          .add(static_cast<std::uint64_t>(stats.retried));
-    } catch (const Error& e) {
-      if (!is_transient(e)) throw;
-      // Persistence failed even after retries; the solved artifact is still
-      // perfectly usable — degrade to memory-only and count the loss.
-      write_retries_ += static_cast<std::size_t>(stats.retried);
-      obs::counter("sckl.store.write_retries")
-          .add(static_cast<std::uint64_t>(stats.retried));
-      ++failed_writes_;
-      obs::counter("sckl.store.failed_writes").add(1);
-    }
+  robust::RetryStats stats;
+  try {
+    robust::retry_bounded(
+        options_.retry, [&] { publish(path, config, *solved); },
+        is_transient, &stats);
+    write_retries_ += static_cast<std::size_t>(stats.retried);
+    obs::counter("sckl.store.write_retries")
+        .add(static_cast<std::uint64_t>(stats.retried));
+  } catch (const Error& e) {
+    if (!is_transient(e)) throw;
+    // Persistence failed even after retries; the solved artifact is still
+    // perfectly usable — degrade to memory-only and count the loss.
+    write_retries_ += static_cast<std::size_t>(stats.retried);
+    obs::counter("sckl.store.write_retries")
+        .add(static_cast<std::uint64_t>(stats.retried));
+    ++failed_writes_;
+    obs::counter("sckl.store.failed_writes").add(1);
   }
   cache_.put(key, solved, solved->resident_bytes());
   obs::counter("sckl.store.fetch.solved").add(1);

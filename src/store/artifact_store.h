@@ -56,7 +56,6 @@ namespace sckl::store {
 /// Tuning knobs of a KleArtifactStore.
 struct StoreOptions {
   std::size_t cache_bytes = std::size_t{256} << 20;  // in-memory LRU budget
-  bool write_through = true;  // persist freshly solved artifacts to disk
   bool fsck_on_open = false;  // run a repairing fsck() pass in the ctor
   robust::RetryPolicy retry;  // bounded backoff for transient disk I/O
 };

@@ -138,7 +138,7 @@ TEST(CanonicalSsta, MatchesMonteCarloOnC17) {
   const field::KleFieldSampler sampler(kle, 25, locations);
 
   // Canonical pass.
-  const linalg::Matrix& g = sampler.field().location_operator();
+  const linalg::Matrix& g = sampler.operator_transposed();
   const CanonicalSstaResult canonical =
       run_canonical_ssta(engine, {&g, &g, &g, &g});
 
@@ -175,7 +175,7 @@ TEST(CanonicalSsta, SingleRunBeatsMonteCarloRuntime) {
   const core::KleResult kle = core::solve_kle(mesh, kernel, kle_options);
   const auto locations = placement.physical_locations(netlist);
   const field::KleFieldSampler sampler(kle, 25, locations);
-  const linalg::Matrix& g = sampler.field().location_operator();
+  const linalg::Matrix& g = sampler.operator_transposed();
 
   const CanonicalSstaResult canonical =
       run_canonical_ssta(engine, {&g, &g, &g, &g});

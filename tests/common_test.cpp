@@ -590,6 +590,7 @@ TEST(CliFlags, ParsesAllForms) {
                         "--enabled=false"};
   CliFlags flags(static_cast<int>(std::size(argv)), argv);
   EXPECT_EQ(flags.get_int("alpha", 0), 3);
+  EXPECT_EQ(flags.get_size("alpha", 0), 3u);
   EXPECT_DOUBLE_EQ(flags.get_double("beta", 0.0), 2.5);
   EXPECT_TRUE(flags.get_bool("flag", false));
   EXPECT_FALSE(flags.get_bool("enabled", true));
@@ -601,11 +602,14 @@ TEST(CliFlags, ParsesAllForms) {
 }
 
 TEST(CliFlags, RejectsMalformedValues) {
-  const char* argv[] = {"prog", "--x=abc"};
-  CliFlags flags(2, argv);
+  const char* argv[] = {"prog", "--x=abc", "--count=-1"};
+  CliFlags flags(3, argv);
   EXPECT_THROW(flags.get_int("x", 0), Error);
   EXPECT_THROW(flags.get_double("x", 0.0), Error);
   EXPECT_THROW(flags.get_bool("x", false), Error);
+  EXPECT_THROW(flags.get_size("x", 0), Error);
+  // A negative count must not wrap to about 2^64.
+  EXPECT_THROW(flags.get_size("count", 0), Error);
 }
 
 TEST(ExperimentFlagSet, AppliesOnlyPresentFlags) {

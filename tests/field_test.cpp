@@ -1,10 +1,14 @@
 // Tests for src/field: both samplers must reproduce the kernel's covariance
 // empirically (Algorithm 1 exactly, Algorithm 2 up to truncation error),
-// the latent-dimension bookkeeping that drives the paper's speedup, and the
+// the latent-dimension bookkeeping that drives the paper's speedup, the
+// KLE sampler's one reconstruction operator (the gathered rows of eq. 28's
+// D_lambda, checked bit for bit against an in-test oracle), and the
 // index-addressed draw contract (sample i depends only on (key, i)).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -235,6 +239,95 @@ TEST_F(KleSamplerTest, SampleBitsInvariantAcrossDispatchTargets) {
     linalg::reset_simd_target();
     EXPECT_EQ(block.max_abs_diff(reference), 0.0)
         << linalg::simd_target_name(target);
+  }
+}
+
+TEST_F(KleSamplerTest, VarianceAtLocationApproachesUnity) {
+  // Var p(x) = sum_j lambda_j f_j(x)^2 -> K(x,x) = 1 as r grows.
+  const core::KleResult kle = solve(40);
+  const std::vector<Point2> locations = {{0.0, 0.0}, {0.5, -0.5}};
+  const KleFieldSampler sampler(kle, 40, locations);
+  const linalg::Matrix& g_t = sampler.operator_transposed();
+  for (std::size_t i = 0; i < locations.size(); ++i) {
+    double variance = 0.0;
+    for (std::size_t j = 0; j < 40; ++j) variance += g_t(j, i) * g_t(j, i);
+    EXPECT_NEAR(variance, 1.0, 0.08) << "location " << i;
+  }
+}
+
+TEST(KleSampler, ReconstructionMatchesOperatorRows) {
+  // Eq. 28 gathered at the locations: the sampler's one matrix is
+  // G^T(j, i) = d(tri_i, j) sqrt(lambda_j), and sampling is exactly the
+  // shared latent draw times that matrix, on every SIMD target.
+  const kernels::GaussianKernel kernel(2.33);
+  const mesh::TriMesh mesh = mesh::structured_mesh(
+      BoundingBox::unit_die(), 8, 8, mesh::StructuredPattern::kDiagonal);
+  core::KleOptions options;
+  options.num_eigenpairs = 10;
+  const core::KleResult kle = core::solve_kle(mesh, kernel, options);
+
+  const std::vector<Point2> locations = {
+      {0.1, 0.1}, {-0.7, 0.3}, {0.9, -0.9}, {0.0, 0.0}};
+  constexpr std::size_t kR = 6;
+  const KleFieldSampler sampler(kle, kR, locations);
+  EXPECT_EQ(sampler.latent_dimension(), kR);
+  EXPECT_EQ(sampler.num_locations(), 4u);
+  EXPECT_EQ(sampler.out_of_mesh_count(), 0u);
+  EXPECT_EQ(sampler.matrix_bytes(),
+            kR * locations.size() * sizeof(double));
+
+  linalg::Matrix oracle(kR, locations.size());
+  for (std::size_t i = 0; i < locations.size(); ++i) {
+    const std::size_t tri = kle.triangle_of(locations[i]);
+    for (std::size_t j = 0; j < kR; ++j)
+      oracle(j, i) = kle.coefficient(tri, j) * std::sqrt(kle.eigenvalue(j));
+  }
+  const linalg::Matrix& op_t = sampler.operator_transposed();
+  ASSERT_EQ(op_t.rows(), kR);
+  ASSERT_EQ(op_t.cols(), locations.size());
+  EXPECT_EQ(std::memcmp(op_t.data(), oracle.data(),
+                        oracle.rows() * oracle.cols() * sizeof(double)),
+            0);
+
+  const SampleRange range{3, 9};
+  const StreamKey key{17, 0};
+  for (const linalg::SimdTarget target :
+       {linalg::SimdTarget::kScalar, linalg::SimdTarget::kAvx2,
+        linalg::SimdTarget::kAvx512}) {
+    if (!linalg::simd_target_supported(target)) continue;
+    linalg::set_simd_target(target);
+    linalg::Matrix block;
+    sampler.sample_block(range, key, block);
+    linalg::Matrix xi;
+    fill_latent_normals(range, key, kR, xi);
+    linalg::Matrix expected;
+    linalg::gemm_into(xi, oracle, expected);
+    linalg::reset_simd_target();
+    ASSERT_EQ(block.rows(), range.count);
+    ASSERT_EQ(block.cols(), locations.size());
+    EXPECT_EQ(std::memcmp(block.data(), expected.data(),
+                          block.rows() * block.cols() * sizeof(double)),
+              0)
+        << linalg::simd_target_name(target);
+  }
+
+  // Manual: value at location = sum_j sqrt(lambda_j) d_{tri, j} xi_j; a
+  // negated latent row gives the exactly negated sample.
+  Rng rng(17);
+  const linalg::Vector xi = rng.normal_vector(kR);
+  linalg::Vector negated(kR);
+  for (std::size_t j = 0; j < kR; ++j) negated[j] = -xi[j];
+  linalg::Matrix values;
+  sampler.reconstruct(linalg::Matrix::from_rows({xi, negated}), values);
+  ASSERT_EQ(values.rows(), 2u);
+  for (std::size_t i = 0; i < locations.size(); ++i) {
+    const std::size_t tri = kle.triangle_of(locations[i]);
+    double expected = 0.0;
+    for (std::size_t j = 0; j < kR; ++j)
+      expected += std::sqrt(kle.eigenvalue(j)) * kle.coefficient(tri, j) *
+                  xi[j];
+    EXPECT_NEAR(values(0, i), expected, 1e-12);
+    EXPECT_EQ(values(1, i), -values(0, i));
   }
 }
 

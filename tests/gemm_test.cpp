@@ -184,9 +184,10 @@ TEST(Gemv, MatchesSingleRowGemmAtEveryTarget) {
 }
 
 TEST(Gemv, TransposedMatchesGemmRowExactly) {
-  // KleField::reconstruct(vector) must agree bit-for-bit with row 0 of
-  // reconstruct_block on the same latents — that is exactly
-  // gemv_transposed_fast(op_t, x) == gemm(x_row, op_t).
+  // gemv_transposed_fast (the H-matrix apply, the PCE normal equations)
+  // keeps gemm's per-element chain: gemv_transposed_fast(op_t, x) equals
+  // the one-row gemm(x_row, op_t) bit for bit, so a one-row sampler
+  // reconstruct and the vector product through op_t agree exactly.
   const Matrix op_t = random_matrix(25, 1669, 14);
   Matrix x_row(1, 25);
   const CounterRng rng(StreamKey{15, 0});

@@ -470,24 +470,24 @@ TEST_F(ServeTest, SamplerCacheChargeCoversEverySamplerMatrix) {
     c.sample_matrix(request);
   }
 
-  // The matrix bytes of one such sampler, summed from its public accessors.
+  // The one matrix such a sampler holds: its r x N_g reconstruction
+  // operator, sized from the public accessor.
   store::KleArtifactStore local(options_.store_root);
   const auto kernel = store::make_kernel(request.config.kernel_id,
                                          request.config.kernel_params);
   const store::FetchResult fetch = local.get_or_compute(request.config, *kernel);
   const field::KleFieldSampler sampler(*fetch.artifact, request.r,
                                        request.locations);
-  const auto bytes = [](const linalg::Matrix& m) {
-    return m.rows() * m.cols() * sizeof(double);
-  };
-  const std::size_t held = bytes(sampler.field().location_operator()) +
-                           bytes(sampler.operator_transposed());
+  const linalg::Matrix& op_t = sampler.operator_transposed();
+  const std::size_t held = op_t.rows() * op_t.cols() * sizeof(double);
 
   const store::CacheStats stats = server_->sampler_cache_stats();
   EXPECT_GT(stats.evictions, 0u);
   ASSERT_GT(stats.entries, 0u);
   EXPECT_LE(stats.entries * held, stats.byte_budget)
       << stats.entries << " resident samplers of " << held << " bytes";
+  // Each resident sampler is charged its one matrix, no more.
+  EXPECT_EQ(stats.bytes, stats.entries * held);
 }
 
 TEST_F(ServeTest, ConcurrentClientsEachGetExactBits) {
