@@ -112,6 +112,12 @@ class LinearFieldSampler : public FieldSampler {
   /// num_locations).
   const linalg::Matrix& operator_transposed() const { return op_t_; }
 
+  /// Bytes of that operator, the one matrix a linear sampler holds: what a
+  /// cache should charge.
+  std::size_t matrix_bytes() const {
+    return op_t_.rows() * op_t_.cols() * sizeof(double);
+  }
+
  protected:
   LinearFieldSampler() = default;
 
