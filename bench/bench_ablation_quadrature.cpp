@@ -25,11 +25,10 @@
 #include "mesh/refine.h"
 #include "mesh/structured_mesher.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const sckl::CliFlags& flags) {
   using namespace sckl;
-  const CliFlags flags(argc, argv);
-  const ExperimentFlagSet fset = parse_experiment_flags(flags);
-  obs::TraceSession trace_session(fset.trace, fset.trace_json);
   const auto n = static_cast<std::size_t>(flags.get_int("n", 576));
   const auto modes = static_cast<std::size_t>(flags.get_int("modes", 8));
   const double c = flags.get_double("c", 1.0);
@@ -136,4 +135,12 @@ int main(int argc, char** argv) {
   std::printf("# the [2] kernel reports perfect correlation for the first "
               "pair (same radius) — physically wrong, as Sec. 3.1 argues\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const sckl::CliFlags flags(argc, argv);
+  return sckl::obs::run_tool("bench_ablation_quadrature", flags,
+                             [&] { return run(flags); });
 }

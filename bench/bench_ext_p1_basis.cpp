@@ -23,11 +23,10 @@
 #include "kernels/kernel_library.h"
 #include "mesh/structured_mesher.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const sckl::CliFlags& flags) {
   using namespace sckl;
-  const CliFlags flags(argc, argv);
-  const ExperimentFlagSet fset = parse_experiment_flags(flags);
-  obs::TraceSession trace_session(fset.trace, fset.trace_json);
   const auto modes = static_cast<std::size_t>(flags.get_int("modes", 6));
   const double c = flags.get_double("c", 1.0);
 
@@ -108,4 +107,12 @@ int main(int argc, char** argv) {
   std::printf("# P1's continuous eigenfunctions remove the O(h) staircase "
               "of the piecewise-constant basis\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const sckl::CliFlags flags(argc, argv);
+  return sckl::obs::run_tool("bench_ext_p1_basis", flags,
+                             [&] { return run(flags); });
 }

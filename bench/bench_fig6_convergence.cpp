@@ -33,13 +33,8 @@ double endpoint_error(const sckl::ssta::McSstaResult& reference,
   return error.mean();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const sckl::CliFlags& flags) {
   using namespace sckl;
-  const CliFlags flags(argc, argv);
-  const ExperimentFlagSet fset = parse_experiment_flags(flags);
-  obs::TraceSession trace_session(fset.trace, fset.trace_json);
   ssta::ExperimentConfig config;
   config.circuit = "c1908";
   // Noise floor of a sigma-vs-sigma comparison is ~1/sqrt(N); 2000 samples
@@ -100,4 +95,12 @@ int main(int argc, char** argv) {
   std::printf("\n# paper: errors < 2.8%% at (r, n) = (25, 1546), decreasing"
               " in both r and n (noise floor from the finite MC reference)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const sckl::CliFlags flags(argc, argv);
+  return sckl::obs::run_tool("bench_fig6_convergence", flags,
+                             [&] { return run(flags); });
 }

@@ -25,11 +25,10 @@
 #include "common/table.h"
 #include "ssta/experiment.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const sckl::CliFlags& flags) {
   using namespace sckl;
-  const CliFlags flags(argc, argv);
-  const ExperimentFlagSet fset = parse_experiment_flags(flags);
-  obs::TraceSession trace_session(fset.trace, fset.trace_json);
   // The shared experiment flag vocabulary (--samples, --r, --seed,
   // --threads, --store, ...) plus this bench's own sweep controls.
   ssta::ExperimentConfig base;
@@ -78,4 +77,12 @@ int main(int argc, char** argv) {
   std::printf("# paper (100K samples): e_mu <= 0.109%%, e_sigma <= 5.7%%, "
               "speedup 0.29 -> 10.65 growing with Ng\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const sckl::CliFlags flags(argc, argv);
+  return sckl::obs::run_tool("bench_table1_ssta", flags,
+                             [&] { return run(flags); });
 }

@@ -272,17 +272,16 @@ int cmd_lock_status(const std::string& root) {
 int main(int argc, char** argv) {
   using namespace sckl;
   const CliFlags flags(argc, argv);
-  const ExperimentFlagSet fset = parse_experiment_flags(flags);
-  obs::TraceSession trace_session(fset.trace, fset.trace_json);
-  if (flags.positional().empty()) {
-    std::fprintf(stderr,
-                 "usage: kle_store_tool <build|inspect|ls|gc|fsck|lock-status> "
-                 "--root=DIR [options]\n");
-    return 2;
-  }
-  const std::string command = flags.positional().front();
-  const std::string root = flags.get_string("root", ".sckl-store");
-  try {
+  return obs::run_tool("kle_store_tool", flags, [&] {
+    if (flags.positional().empty()) {
+      std::fprintf(stderr,
+                   "usage: kle_store_tool "
+                   "<build|inspect|ls|gc|fsck|lock-status> --root=DIR "
+                   "[options]\n");
+      return 2;
+    }
+    const std::string command = flags.positional().front();
+    const std::string root = flags.get_string("root", ".sckl-store");
     if (command == "build") return cmd_build(flags, root);
     if (command == "inspect") return cmd_inspect(flags, root);
     if (command == "ls") return cmd_ls(root);
@@ -292,8 +291,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "kle_store_tool: unknown command '%s'\n",
                  command.c_str());
     return 2;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "kle_store_tool: %s\n", e.what());
-    return 1;
-  }
+  });
 }

@@ -169,16 +169,14 @@ int cmd_shutdown(const CliFlags& flags) {
 int main(int argc, char** argv) {
   using namespace sckl;
   const CliFlags flags(argc, argv);
-  const ExperimentFlagSet fset = parse_experiment_flags(flags);
-  obs::TraceSession trace_session(fset.trace, fset.trace_json);
-  if (flags.positional().empty()) {
-    std::fprintf(stderr,
-                 "usage: sckl_serve <serve|ping|stats|solve|work|shutdown> "
-                 "[--socket=PATH | --port=P] [options]\n");
-    return 2;
-  }
-  const std::string command = flags.positional().front();
-  try {
+  return obs::run_tool("sckl_serve", flags, [&] {
+    if (flags.positional().empty()) {
+      std::fprintf(stderr,
+                   "usage: sckl_serve <serve|ping|stats|solve|work|shutdown> "
+                   "[--socket=PATH | --port=P] [options]\n");
+      return 2;
+    }
+    const std::string command = flags.positional().front();
     if (command == "serve") return cmd_serve(flags);
     if (command == "ping") return cmd_ping(flags);
     if (command == "stats") return cmd_stats(flags);
@@ -188,8 +186,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "sckl_serve: unknown command '%s'\n",
                  command.c_str());
     return 2;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "sckl_serve: %s\n", e.what());
-    return 1;
-  }
+  });
 }

@@ -185,14 +185,5 @@ int run(const sckl::CliFlags& flags) {
 
 int main(int argc, char** argv) {
   const sckl::CliFlags flags(argc, argv);
-  const sckl::ExperimentFlagSet set = sckl::parse_experiment_flags(flags);
-  // Constructed before run() so every span (including the root) closes
-  // before the session exports at scope exit.
-  sckl::obs::TraceSession session(set.trace, set.trace_json);
-  try {
-    return run(flags);
-  } catch (const sckl::Error& e) {
-    std::fprintf(stderr, "ssta_flow: %s\n", e.what());
-    return 1;
-  }
+  return sckl::obs::run_tool("ssta_flow", flags, [&] { return run(flags); });
 }

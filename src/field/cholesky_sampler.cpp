@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "core/symmetric_fill.h"
 #include "linalg/cholesky.h"
 #include "obs/trace.h"
 
@@ -15,19 +16,19 @@ CholeskyFieldSampler::CholeskyFieldSampler(
   const std::size_t n = locations.size();
   require(n > 0, "CholeskyFieldSampler: no locations");
   obs::Span span("field.cholesky_setup");
-  linalg::Matrix gram(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      const double value = kernel(locations[i], locations[j]);
-      gram(i, j) = value;
-      gram(j, i) = value;
-    }
-  }
-  auto result = linalg::cholesky_with_jitter(std::move(gram));
+  // One N_g x N_g matrix is live throughout: the Gram matrix is factored in
+  // place and its L turned into U = L^T in the same storage.
+  auto result = linalg::cholesky_with_jitter(core::fill_symmetric(
+      n,
+      [&](std::size_t i, std::size_t j) {
+        return kernel(locations[i], locations[j]);
+      },
+      kernel, "CholeskyFieldSampler", 0));
   jitter_ = result.jitter;
   // P = Z U for U = L^T gives covariance U^T U = L L^T = K; storing U
   // directly makes reconstruction a plain row-major GEMM.
-  set_operator(result.factor.lower.transposed(), "field.reconstruct.cholesky",
+  result.factor.lower.transpose_in_place();
+  set_operator(std::move(result.factor.lower), "field.reconstruct.cholesky",
                "sckl.field.samples.cholesky");
 }
 

@@ -207,18 +207,6 @@ __attribute__((target("avx512f"))) void avx512_rows1(
 // ---------------------------------------------------------------------------
 // Dispatch.
 
-bool hardware_fma() {
-#if SCKL_X86
-  static const bool value = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("fma") != 0;
-  }();
-  return value;
-#else
-  return false;
-#endif
-}
-
 SimdTarget detect_target() {
 #if SCKL_X86
   __builtin_cpu_init();
@@ -268,17 +256,39 @@ KernelSet kernel_set(SimdTarget target) {
 // Packs B's (pc, jc) panel into kc x nr column strips, zero-padded to nr so
 // kernels always read full vectors. Packing only copies, never computes, so
 // it cannot affect bits.
-void pack_b(const Matrix& b, std::size_t pc, std::size_t jc, std::size_t kc,
-            std::size_t nc, std::size_t nr, double* out) {
+void pack_b(const double* b, std::size_t ldb, std::size_t pc, std::size_t jc,
+            std::size_t kc, std::size_t nc, std::size_t nr, double* out) {
   const std::size_t panels = (nc + nr - 1) / nr;
   for (std::size_t p = 0; p < panels; ++p) {
     const std::size_t j0 = p * nr;
     const std::size_t w = std::min(nr, nc - j0);
     double* dst = out + p * kc * nr;
     for (std::size_t k = 0; k < kc; ++k) {
-      std::memcpy(dst, b.row_ptr(pc + k) + jc + j0, w * sizeof(double));
+      std::memcpy(dst, b + (pc + k) * ldb + jc + j0, w * sizeof(double));
       if (w < nr) std::memset(dst + w, 0, (nr - w) * sizeof(double));
       dst += nr;
+    }
+  }
+}
+
+// The same strips for the operand -B^T, with B stored n x k: packed element
+// (k, j) is -B(jc + j, pc + k). Negation is exact, and fma(a, -b, c) equals
+// fma(-a, b, c) bit for bit, so gemm_sub_abt keeps gemm_add's chains.
+void pack_bt_negated(const double* b, std::size_t ldb, std::size_t pc,
+                     std::size_t jc, std::size_t kc, std::size_t nc,
+                     std::size_t nr, double* out) {
+  const std::size_t panels = (nc + nr - 1) / nr;
+  for (std::size_t p = 0; p < panels; ++p) {
+    const std::size_t j0 = p * nr;
+    const std::size_t w = std::min(nr, nc - j0);
+    double* dst = out + p * kc * nr;
+    for (std::size_t j = 0; j < nr; ++j) {
+      if (j >= w) {
+        for (std::size_t k = 0; k < kc; ++k) dst[k * nr + j] = 0.0;
+        continue;
+      }
+      const double* src = b + (jc + j0 + j) * ldb + pc;
+      for (std::size_t k = 0; k < kc; ++k) dst[k * nr + j] = -src[k];
     }
   }
 }
@@ -409,6 +419,18 @@ const char* simd_target_name(SimdTarget target) {
   return "scalar";
 }
 
+bool hardware_fma() {
+#if SCKL_X86
+  static const bool value = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("fma") != 0;
+  }();
+  return value;
+#else
+  return false;
+#endif
+}
+
 SimdTarget detected_simd_target() {
   static const SimdTarget target = detect_target();
   return target;
@@ -438,21 +460,19 @@ void reset_simd_target() {
 
 namespace {
 
-// Shared driver: C = (load_first ? C : 0) + A * B for the first k panel,
-// accumulating thereafter. Skipping the first-panel load lets gemm_into
+// Shared driver over row-major views: C = (load_first ? C : 0) + A * B for
+// the first k panel, accumulating thereafter. `pack(pc, jc, kc, nc, nr, out)`
+// packs B's (pc, jc) panel. Skipping the first-panel load lets gemm_into
 // avoid streaming a zero-filled C through memory twice — bit-identical to
 // loading explicit zeros, since the accumulator chain starts at 0.0 either
 // way.
-void gemm_driver(const Matrix& a, const Matrix& b, Matrix& c,
-                 bool load_first) {
-  const std::size_t m = a.rows();
-  const std::size_t kdim = a.cols();
-  const std::size_t n = b.cols();
+template <typename PackB>
+void gemm_driver(std::size_t m, std::size_t n, std::size_t kdim,
+                 const double* a, std::size_t lda, const PackB& pack,
+                 double* c, std::size_t ldc, bool load_first) {
   if (m == 0 || n == 0 || kdim == 0) return;
 
   const KernelSet ks = kernel_set(active_simd_target());
-  const std::size_t lda = a.cols();
-  const std::size_t ldc = c.cols();
 
   thread_local std::vector<double> packed;
   for (std::size_t jc = 0; jc < n; jc += kNc) {
@@ -463,28 +483,39 @@ void gemm_driver(const Matrix& a, const Matrix& b, Matrix& c,
       const bool load_c = load_first || pc > 0;
       if (packed.size() < panels * kc * ks.nr)
         packed.resize(panels * kc * ks.nr);
-      pack_b(b, pc, jc, kc, nc, ks.nr, packed.data());
+      pack(pc, jc, kc, nc, ks.nr, packed.data());
       std::size_t i = 0;
       if (ks.rows4 != nullptr) {
         for (; i + 4 <= m; i += 4) {
-          const double* arow = a.row_ptr(i) + pc;
+          const double* arow = a + i * lda + pc;
           for (std::size_t p = 0; p < panels; ++p) {
             const std::size_t w = std::min(ks.nr, nc - p * ks.nr);
             ks.rows4(arow, lda, packed.data() + p * kc * ks.nr,
-                     c.row_ptr(i) + jc + p * ks.nr, ldc, kc, w, load_c);
+                     c + i * ldc + jc + p * ks.nr, ldc, kc, w, load_c);
           }
         }
       }
       for (; i < m; ++i) {
-        const double* arow = a.row_ptr(i) + pc;
+        const double* arow = a + i * lda + pc;
         for (std::size_t p = 0; p < panels; ++p) {
           const std::size_t w = std::min(ks.nr, nc - p * ks.nr);
           ks.rows1(arow, lda, packed.data() + p * kc * ks.nr,
-                   c.row_ptr(i) + jc + p * ks.nr, ldc, kc, w, load_c);
+                   c + i * ldc + jc + p * ks.nr, ldc, kc, w, load_c);
         }
       }
     }
   }
+}
+
+void gemm_matrices(const Matrix& a, const Matrix& b, Matrix& c,
+                   bool load_first) {
+  gemm_driver(
+      a.rows(), b.cols(), a.cols(), a.data(), a.cols(),
+      [&](std::size_t pc, std::size_t jc, std::size_t kc, std::size_t nc,
+          std::size_t nr, double* out) {
+        pack_b(b.data(), b.cols(), pc, jc, kc, nc, nr, out);
+      },
+      c.data(), c.cols(), load_first);
 }
 
 }  // namespace
@@ -494,7 +525,7 @@ void gemm_add(const Matrix& a, const Matrix& b, Matrix& c) {
   require(c.rows() == a.rows() && c.cols() == b.cols(),
           "gemm_add: output shape mismatch");
   require(&c != &a && &c != &b, "gemm_add: output may not alias an input");
-  gemm_driver(a, b, c, /*load_first=*/true);
+  gemm_matrices(a, b, c, /*load_first=*/true);
 }
 
 void gemm_into(const Matrix& a, const Matrix& b, Matrix& c) {
@@ -505,7 +536,19 @@ void gemm_into(const Matrix& a, const Matrix& b, Matrix& c) {
     c.fill(0.0);
     return;
   }
-  gemm_driver(a, b, c, /*load_first=*/false);
+  gemm_matrices(a, b, c, /*load_first=*/false);
+}
+
+void gemm_sub_abt(std::size_t m, std::size_t n, std::size_t k,
+                  const double* a, std::size_t lda, const double* b,
+                  std::size_t ldb, double* c, std::size_t ldc) {
+  gemm_driver(
+      m, n, k, a, lda,
+      [&](std::size_t pc, std::size_t jc, std::size_t kc, std::size_t nc,
+          std::size_t nr, double* out) {
+        pack_bt_negated(b, ldb, pc, jc, kc, nc, nr, out);
+      },
+      c, ldc, /*load_first=*/true);
 }
 
 Matrix gemm_fast(const Matrix& a, const Matrix& b) {

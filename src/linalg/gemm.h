@@ -82,6 +82,21 @@ void gemm_into(const Matrix& a, const Matrix& b, Matrix& c);
 /// Returns A * B.
 Matrix gemm_fast(const Matrix& a, const Matrix& b);
 
+/// C -= A * B^T on row-major views (A: m x k, B: n x k, C: m x n, with row
+/// strides lda, ldb, ldc; C must overlap neither input). Each C(i, j)
+/// continues from its stored value as c = fma(-A(i,k), B(j,k), c) for k
+/// ascending: gemm_add's one chain, with its bits on every target. This is
+/// the blocked Cholesky's panel update (linalg/cholesky.h), whose three
+/// views are disjoint blocks of one matrix.
+void gemm_sub_abt(std::size_t m, std::size_t n, std::size_t k,
+                  const double* a, std::size_t lda, const double* b,
+                  std::size_t ldb, double* c, std::size_t ldc);
+
+/// True when the CPU has hardware fma (cpuid, computed once). Scalar fma
+/// chains then run under target("fma"): the libm call's bits, at hardware
+/// speed.
+bool hardware_fma();
+
 /// y = A * x with the same determinism contract: each y(i) is an 8-lane
 /// interleaved fma chain (lane l accumulates elements k = l mod 8) folded
 /// by a fixed pairwise tree, identical across all targets.

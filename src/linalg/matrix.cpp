@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 
@@ -38,6 +39,18 @@ Matrix Matrix::transposed() const {
   for (std::size_t r = 0; r < rows_; ++r)
     for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
   return t;
+}
+
+void Matrix::transpose_in_place() {
+  require(rows_ == cols_, "Matrix::transpose_in_place: matrix must be square");
+  constexpr std::size_t kTile = 32;
+  const std::size_t n = rows_;
+  for (std::size_t i0 = 0; i0 < n; i0 += kTile)
+    for (std::size_t j0 = i0; j0 < n; j0 += kTile)
+      for (std::size_t i = i0; i < std::min(n, i0 + kTile); ++i)
+        for (std::size_t j = std::max(j0, i + 1); j < std::min(n, j0 + kTile);
+             ++j)
+          std::swap((*this)(i, j), (*this)(j, i));
 }
 
 Matrix Matrix::identity(std::size_t n) {

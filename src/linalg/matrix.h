@@ -65,6 +65,9 @@ class Matrix {
   /// Returns the transpose.
   Matrix transposed() const;
 
+  /// Transposes a square matrix in its own storage, by tiles.
+  void transpose_in_place();
+
   /// Returns a rows x rows identity matrix.
   static Matrix identity(std::size_t n);
 

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -225,6 +226,18 @@ TraceSession::~TraceSession() {
   write_text_report(stderr);
   if (!json_path_.empty()) {
     write_trace_json(json_path_);
+  }
+}
+
+int run_tool(const char* tool, const CliFlags& flags,
+             const std::function<int()>& body) {
+  try {
+    const ExperimentFlagSet shared = parse_experiment_flags(flags);
+    const TraceSession session(shared.trace, shared.trace_json);
+    return body();
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s: %s\n", tool, e.what());
+    return 1;
   }
 }
 

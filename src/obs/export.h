@@ -16,7 +16,10 @@
 #pragma once
 
 #include <cstdio>
+#include <functional>
 #include <string>
+
+#include "common/cli.h"
 
 namespace sckl::obs {
 
@@ -60,5 +63,12 @@ class TraceSession {
   bool active_ = false;
   std::string json_path_;
 };
+
+/// The main() of a command-line tool: parses the shared experiment flags,
+/// keeps a TraceSession open while `body` runs (so every span closes before
+/// the export), and turns an sckl::Error from either into
+/// "<tool>: <message>" on stderr and exit status 1.
+int run_tool(const char* tool, const CliFlags& flags,
+             const std::function<int()>& body);
 
 }  // namespace sckl::obs

@@ -21,6 +21,7 @@
 #include "kernels/kernel_library.h"
 #include "linalg/gemm.h"
 #include "mesh/structured_mesher.h"
+#include "reference_cholesky.h"
 
 namespace sckl::field {
 namespace {
@@ -64,6 +65,34 @@ TEST(CholeskySampler, HandlesNearSingularGram) {
   // Coincident points get (essentially) identical samples.
   for (std::size_t i = 0; i < 100; ++i)
     EXPECT_NEAR(block(i, 0), block(i, 1), 1e-3);
+}
+
+TEST(CholeskySampler, BackwardErrorMatchesReferenceFactor) {
+  // A Gaussian Gram at N = 600 random locations is numerically
+  // semi-definite. The sampler's U = L^T (factored and transposed in the
+  // Gram's own storage) must reproduce K + jitter I as closely as the
+  // unblocked reference factor of the same matrix does.
+  const kernels::GaussianKernel kernel(kernels::paper_gaussian_c());
+  Rng rng(31);
+  std::vector<Point2> locations(600);
+  for (Point2& p : locations) p = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+  const CholeskyFieldSampler sampler(kernel, locations);
+  const std::size_t n = locations.size();
+  linalg::Matrix shifted(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      shifted(i, j) = kernel(locations[i], locations[j]) +
+                      (i == j ? sampler.jitter() : 0.0);
+  const linalg::Matrix& u = sampler.operator_transposed();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < i; ++j) ASSERT_EQ(u(i, j), 0.0);
+  const double blocked =
+      linalg::gemm_fast(u.transposed(), u).max_abs_diff(shifted);
+  const linalg::Matrix l = linalg::reference_cholesky(shifted);
+  const double reference =
+      linalg::gemm_fast(l, l.transposed()).max_abs_diff(shifted);
+  EXPECT_LE(blocked, 1e-13);
+  EXPECT_LE(blocked, 2.0 * reference);
 }
 
 TEST(CholeskySampler, RejectsEmptyLocations) {

@@ -126,6 +126,33 @@ TEST(Gemm, AllTargetsProduceIdenticalBits) {
   }
 }
 
+TEST(Gemm, SubAbtOnStridedViewsContinuesTheNegatedChain) {
+  // gemm_sub_abt reads A and B and updates C through row strides wider than
+  // the views, as the blocked Cholesky does on blocks of one matrix: each
+  // C(i, j) continues as fma(-A(i,k), B(j,k), c) over ascending k, and no
+  // entry outside the C view moves.
+  for (const SimdTarget target : supported_targets()) {
+    const ForcedTarget forced(target);
+    for (const Shape& s : kShapes) {
+      const Matrix a = random_matrix(s.m, s.k + 3, 31);
+      const Matrix b = random_matrix(s.n, s.k + 5, 32);
+      const Matrix before = random_matrix(s.m, s.n + 7, 33);
+      Matrix want = before;
+      for (std::size_t i = 0; i < s.m; ++i)
+        for (std::size_t j = 0; j < s.n; ++j) {
+          double acc = before(i, j + 2);
+          for (std::size_t k = 0; k < s.k; ++k)
+            acc = std::fma(-a(i, k + 1), b(j, k + 2), acc);
+          want(i, j + 2) = acc;
+        }
+      Matrix c = before;
+      gemm_sub_abt(s.m, s.n, s.k, a.data() + 1, a.cols(), b.data() + 2,
+                   b.cols(), c.data() + 2, c.cols());
+      expect_bit_equal(c, want, simd_target_name(target));
+    }
+  }
+}
+
 TEST(Gemm, EmptyInnerDimensionYieldsZeros) {
   const Matrix a(3, 0);
   const Matrix b(0, 5);

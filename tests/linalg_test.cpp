@@ -1,10 +1,14 @@
-// Tests for src/linalg: matrix container, level-1 kernels, Cholesky, the
-// symmetric eigensolvers (QL, Lanczos) against each other, against the
-// test-only Jacobi oracle and against analytically known spectra.
+// Tests for src/linalg: matrix container, level-1 kernels, Cholesky (bit for
+// bit against an unblocked fma-chain oracle, and in backward error against
+// the test-only reference factor), the symmetric eigensolvers (QL, Lanczos)
+// against each other, against the test-only Jacobi oracle and against
+// analytically known spectra.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +22,7 @@
 #include "linalg/lanczos.h"
 #include "linalg/matrix.h"
 #include "linalg/symmetric_eigen.h"
+#include "reference_cholesky.h"
 
 namespace sckl::linalg {
 namespace {
@@ -60,6 +65,19 @@ TEST(Matrix, TransposeIdentityRowsColumns) {
   const Matrix id = Matrix::identity(3);
   EXPECT_DOUBLE_EQ(id(1, 1), 1.0);
   EXPECT_DOUBLE_EQ(id(0, 1), 0.0);
+}
+
+TEST(Matrix, TransposeInPlaceMatchesTransposed) {
+  Rng rng(2);
+  // Sizes around the 32-entry tile edge, so edge tiles are partial.
+  for (const std::size_t n : {1, 31, 32, 33, 70}) {
+    const Matrix m = random_matrix(n, n, rng);
+    Matrix t = m;
+    t.transpose_in_place();
+    EXPECT_EQ(t.max_abs_diff(m.transposed()), 0.0) << "n = " << n;
+  }
+  Matrix wide(2, 3);
+  EXPECT_THROW(wide.transpose_in_place(), Error);
 }
 
 TEST(Matrix, FromRowsRejectsRagged) {
@@ -158,6 +176,140 @@ TEST(Cholesky, JitterRecoversSemidefinite) {
   const Matrix rebuilt =
       gemm_fast(jc.factor.lower, jc.factor.lower.transposed());
   EXPECT_LT(rebuilt.max_abs_diff(a), 1e-4);
+}
+
+// The factor's one-chain contract written out unblocked: L(i, j) starts
+// from K(i, j), takes c = fma(-L(i,k), L(j,k), c) for k ascending, then a
+// sqrt (i = j) or a multiply by 1 / L(j, j).
+Matrix fma_chain_cholesky(const Matrix& k) {
+  const std::size_t n = k.rows();
+  Matrix l(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    double c = k(j, j);
+    for (std::size_t t = 0; t < j; ++t) c = std::fma(-l(j, t), l(j, t), c);
+    l(j, j) = std::sqrt(c);
+    const double inv = 1.0 / l(j, j);
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double x = k(i, j);
+      for (std::size_t t = 0; t < j; ++t) x = std::fma(-l(i, t), l(j, t), x);
+      l(i, j) = x * inv;
+    }
+  }
+  return l;
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+// max |L L^T - K|.
+double backward_error(const Matrix& l, const Matrix& k) {
+  return gemm_fast(l, l.transposed()).max_abs_diff(k);
+}
+
+// Sets SCKL_THREADS, which the factor's auto thread count reads, for its
+// lifetime and restores the previous value.
+class ScopedScklThreads {
+ public:
+  explicit ScopedScklThreads(std::size_t threads) {
+    if (const char* saved = std::getenv("SCKL_THREADS")) saved_ = saved;
+    setenv("SCKL_THREADS", std::to_string(threads).c_str(), 1);
+  }
+  ~ScopedScklThreads() {
+    if (saved_)
+      setenv("SCKL_THREADS", saved_->c_str(), 1);
+    else
+      unsetenv("SCKL_THREADS");
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+TEST(Cholesky, BlockedFactorMatchesFmaChainOracleBitForBit) {
+  // Sizes below, at and past one 64-column panel, and several panels with a
+  // partial last one; every SIMD target at 1, 2 and 4 threads.
+  Rng rng(11);
+  for (const std::size_t n : {1, 63, 64, 65, 200, 513}) {
+    const Matrix k = random_spd(n, rng);
+    const Matrix oracle = fma_chain_cholesky(k);
+    for (const SimdTarget target :
+         {SimdTarget::kScalar, SimdTarget::kAvx2, SimdTarget::kAvx512}) {
+      if (!simd_target_supported(target)) continue;
+      for (const std::size_t threads : {1, 2, 4}) {
+        const ScopedScklThreads scoped_threads(threads);
+        set_simd_target(target);
+        const CholeskyFactor f = cholesky(k);
+        const JitteredCholesky jc = cholesky_with_jitter(k);
+        reset_simd_target();
+        EXPECT_TRUE(same_bits(f.lower, oracle))
+            << "n = " << n << ", " << simd_target_name(target) << ", "
+            << threads << " threads";
+        EXPECT_EQ(jc.jitter, 0.0);
+        EXPECT_TRUE(same_bits(jc.factor.lower, oracle))
+            << "jitter ladder, n = " << n << ", " << simd_target_name(target)
+            << ", " << threads << " threads";
+      }
+    }
+  }
+}
+
+TEST(Cholesky, BackwardErrorMatchesReferenceFactor) {
+  // The reference factor rounds twice per step, the blocked one once: the
+  // entries differ at rounding level and the backward errors agree.
+  Rng rng(12);
+  const Matrix k = random_spd(300, rng);
+  const double blocked = backward_error(cholesky(k).lower, k);
+  const double reference = backward_error(reference_cholesky(k), k);
+  EXPECT_LE(blocked, 2.0 * reference);
+  EXPECT_LT(blocked, 1e-12 * frobenius_norm(k));
+}
+
+TEST(Cholesky, RetryAfterALaterPanelFailureMatchesAFreshFactor) {
+  // K = G G^T with row 131 of G a copy of row 130, then K(131, 131) lowered
+  // a little: the unjittered attempt fails at pivot 131, in the third
+  // 64-column panel, after the first two panels overwrote their columns.
+  // The ladder restores the lower triangle from the upper one in place, so
+  // its factor must equal a fresh factor of K + jitter I bit for bit.
+  Rng rng(13);
+  const std::size_t n = 200;
+  Matrix g = random_matrix(n, n, rng);
+  std::memcpy(g.row_ptr(131), g.row_ptr(130), n * sizeof(double));
+  Matrix k = gemm_fast(g, g.transposed());
+  k(131, 131) -= 5e-10;
+  CholeskyFailure failure;
+  ASSERT_FALSE(try_cholesky(k, &failure).has_value());
+  EXPECT_EQ(failure.pivot_index, 131u);
+  for (const std::size_t threads : {1, 2, 4}) {
+    const ScopedScklThreads scoped_threads(threads);
+    const JitteredCholesky jc = cholesky_with_jitter(k);
+    EXPECT_GT(jc.jitter, 0.0);
+    Matrix shifted = k;
+    for (std::size_t i = 0; i < n; ++i) shifted(i, i) += jc.jitter;
+    const std::optional<CholeskyFactor> fresh = try_cholesky(shifted);
+    ASSERT_TRUE(fresh.has_value());
+    EXPECT_TRUE(same_bits(jc.factor.lower, fresh->lower))
+        << threads << " threads";
+  }
+}
+
+TEST(Cholesky, FailureInALaterPanelNamesThePivot) {
+  Matrix k = Matrix::identity(300);
+  k(250, 250) = -1.0;
+  CholeskyFailure failure;
+  EXPECT_FALSE(try_cholesky(k, &failure).has_value());
+  EXPECT_EQ(failure.pivot_index, 250u);
+  EXPECT_EQ(failure.pivot_value, -1.0);
+  try {
+    cholesky(k);
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kNotPositiveDefinite);
+    EXPECT_NE(std::string(e.what()).find("pivot 250"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SymmetricEigen, DiagonalMatrix) {
