@@ -87,17 +87,16 @@ int main(int argc, char** argv) {
   const std::size_t n_rep = samples / 4;
   RunningStats plain_sigmas;
   RunningStats lhs_sigmas;
+  timing::StaBlockResult timed;  // one block timer scratch for every rep
   for (int rep = 0; rep < reps; ++rep) {
     const StreamKey key{500 + static_cast<std::uint64_t>(rep), 0};
     // Plain: sampler's own normal draws.
     linalg::Matrix block;
     sampler.sample_block(field::SampleRange{0, n_rep}, key, block);
     RunningStats plain_stat;
-    for (std::size_t i = 0; i < n_rep; ++i) {
-      timing::ParameterView view{block.row_ptr(i), block.row_ptr(i),
-                                 block.row_ptr(i), block.row_ptr(i)};
-      plain_stat.add(engine.run(view).worst_delay);
-    }
+    engine.run_block({block.data(), block.data(), block.data(), block.data()},
+                     block.cols(), n_rep, timed);
+    for (const double worst : timed.worst_delay) plain_stat.add(worst);
     plain_sigmas.add(plain_stat.stddev());
     // LHS: stratified xi, same reconstruction (parameter_id 1 keeps the
     // stream distinct from the plain draw above).
@@ -107,11 +106,10 @@ int main(int argc, char** argv) {
     linalg::Matrix lhs_block;
     sampler.reconstruct(xi, lhs_block);
     RunningStats lhs_stat;
-    for (std::size_t i = 0; i < n_rep; ++i) {
-      timing::ParameterView view{lhs_block.row_ptr(i), lhs_block.row_ptr(i),
-                                 lhs_block.row_ptr(i), lhs_block.row_ptr(i)};
-      lhs_stat.add(engine.run(view).worst_delay);
-    }
+    engine.run_block({lhs_block.data(), lhs_block.data(), lhs_block.data(),
+                      lhs_block.data()},
+                     lhs_block.cols(), n_rep, timed);
+    for (const double worst : timed.worst_delay) lhs_stat.add(worst);
     lhs_sigmas.add(lhs_stat.stddev());
   }
   TextTable spread;

@@ -197,6 +197,10 @@ int cmd_inspect(const CliFlags& flags, const std::string& root) {
 }
 
 int cmd_ls(const std::string& root) {
+  // A listing reads the root; constructing the store would create it.
+  std::error_code ec;
+  require(std::filesystem::is_directory(root, ec),
+          "ls: store root '" + root + "' is not a directory");
   store::KleArtifactStore store(root);
   const auto entries = store.ls();
   std::size_t quarantined = 0;

@@ -152,9 +152,10 @@ int run(const sckl::CliFlags& flags) {
               mc.worst_delay.mean(), kl.worst_delay.mean());
   std::printf("%-28s %14.3f %14.3f\n", "worst delay sigma (ps)",
               mc.worst_delay.stddev(), kl.worst_delay.stddev());
-  std::printf("%-28s %14.3f %14.3f\n", "sampling time (s)",
+  // Phase times are thread CPU seconds summed over the workers.
+  std::printf("%-28s %14.3f %14.3f\n", "sampling CPU time (s)",
               mc.sampling_seconds, kl.sampling_seconds);
-  std::printf("%-28s %14.3f %14.3f\n", "STA time (s)", mc.sta_seconds,
+  std::printf("%-28s %14.3f %14.3f\n", "STA CPU time (s)", mc.sta_seconds,
               kl.sta_seconds);
   // Full-distribution view from the mergeable quantile sketch: the tail the
   // two-moment summary cannot show (exact while samples <= sketch capacity).

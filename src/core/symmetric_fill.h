@@ -46,7 +46,8 @@ linalg::Matrix fill_symmetric(std::size_t n, const Entry& entry,
     std::size_t non_finite = kNoEntry;
   };
 
-  linalg::Matrix b(n, n);
+  // Every entry is written below, by the worker that owns its tile.
+  linalg::Matrix b = linalg::Matrix::uninitialized(n, n);
   const std::size_t num_tile_rows = (n + kTile - 1) / kTile;
   std::vector<std::pair<std::size_t, std::size_t>> tiles;
   for (std::size_t ti = 0; ti < num_tile_rows; ++ti)

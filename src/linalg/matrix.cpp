@@ -14,6 +14,14 @@ Matrix::Matrix(std::size_t rows, std::size_t cols)
 Matrix::Matrix(std::size_t rows, std::size_t cols, double value)
     : rows_(rows), cols_(cols), data_(rows * cols, value) {}
 
+Matrix Matrix::uninitialized(std::size_t rows, std::size_t cols) {
+  Matrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.data_.resize(rows * cols);
+  return m;
+}
+
 double& Matrix::at(std::size_t r, std::size_t c) {
   require(r < rows_ && c < cols_, "Matrix::at: index out of range");
   return (*this)(r, c);
@@ -31,7 +39,7 @@ void Matrix::fill(double value) {
 void Matrix::reshape(std::size_t rows, std::size_t cols) {
   rows_ = rows;
   cols_ = cols;
-  if (data_.size() < rows * cols) data_.resize(rows * cols);
+  if (data_.size() < rows * cols) data_.resize(rows * cols, 0.0);
 }
 
 Matrix Matrix::transposed() const {

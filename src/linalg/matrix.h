@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <vector>
 
 namespace sckl::linalg {
@@ -25,6 +27,13 @@ class Matrix {
 
   /// Creates a rows x cols matrix filled with `value`.
   Matrix(std::size_t rows, std::size_t cols, double value);
+
+  /// Creates a rows x cols matrix whose elements are left uninitialized:
+  /// the caller writes every element before reading any. Nothing touches
+  /// the storage here, so a threaded fill (core/symmetric_fill.h) first
+  /// touches each page on the worker that writes it instead of zeroing all
+  /// of them on the calling thread.
+  static Matrix uninitialized(std::size_t rows, std::size_t cols);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -85,9 +94,27 @@ class Matrix {
   double max_abs_diff(const Matrix& other) const;
 
  private:
+  /// std::allocator whose value-less construct() default-initializes, so
+  /// resize(n) leaves new doubles unwritten (uninitialized() relies on it).
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+    // With a value, allocator_traits falls back to std::construct_at.
+    template <typename U>
+    void construct(U* p) {
+      ::new (static_cast<void*>(p)) U;
+    }
+  };
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<double> data_;
+  std::vector<double, DefaultInitAllocator<double>> data_;
 };
 
 /// Frobenius norm of a matrix.

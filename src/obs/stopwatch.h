@@ -1,14 +1,20 @@
-// The one wall-clock timing primitive of the codebase.
+// The timing primitives of the codebase: one wall clock, one thread CPU
+// clock.
 //
-// Formerly common/stopwatch.h; it lives in the observability library now so
-// raw duration measurement and trace spans (obs/trace.h, which is built on
-// exactly this clock) cannot drift apart. Use a Span when the measurement
-// should appear in the trace tree; use a Stopwatch when the caller only
-// needs a number (result fields like McSstaResult::sampling_seconds).
-// Monotonic (steady_clock) so results are immune to NTP jumps.
+// Formerly common/stopwatch.h; they live in the observability library now
+// so raw duration measurement and trace spans (obs/trace.h, which records
+// exactly these two clocks) cannot drift apart. Use a Span when the
+// measurement should appear in the trace tree; use a Stopwatch or a
+// ThreadCpuStopwatch when the caller only needs a number. Stopwatch is
+// monotonic wall time (steady_clock, immune to NTP jumps): what a caller
+// waited. ThreadCpuStopwatch is the calling thread's CPU time: what a phase
+// cost, without the time the thread sat preempted — the per-phase Monte
+// Carlo sums (McSstaResult::sampling_seconds, sta_seconds) add it up across
+// workers.
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 
 namespace sckl::obs {
 
@@ -31,6 +37,25 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
+};
+
+/// CPU time consumed by the calling thread, in nanoseconds
+/// (CLOCK_THREAD_CPUTIME_ID; 0 where the platform has no such clock).
+std::int64_t thread_cpu_ns();
+
+/// Thread CPU-time stopwatch; starts on construction. Read it on the thread
+/// that constructed it.
+class ThreadCpuStopwatch {
+ public:
+  ThreadCpuStopwatch() : start_ns_(thread_cpu_ns()) {}
+
+  /// CPU seconds this thread has run since construction.
+  double seconds() const {
+    return static_cast<double>(thread_cpu_ns() - start_ns_) * 1e-9;
+  }
+
+ private:
+  std::int64_t start_ns_;
 };
 
 }  // namespace sckl::obs

@@ -10,15 +10,14 @@
 #include <mutex>
 #include <string>
 
+#include "obs/stopwatch.h"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <ctime>
 #define SCKL_OBS_HAS_THREAD_CPUTIME 1
 #endif
 
 namespace sckl::obs {
-namespace {
-
-using SteadyClock = std::chrono::steady_clock;
 
 std::int64_t thread_cpu_ns() {
 #ifdef SCKL_OBS_HAS_THREAD_CPUTIME
@@ -29,6 +28,10 @@ std::int64_t thread_cpu_ns() {
 #endif
   return 0;
 }
+
+namespace {
+
+using SteadyClock = std::chrono::steady_clock;
 
 // Per-thread list of finished spans. Each shard has its own mutex so the
 // owning thread's appends never contend with anything except a concurrent

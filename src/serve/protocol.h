@@ -250,8 +250,8 @@ struct RunSstaReply {
   double p99 = 0.0;
   double p999 = 0.0;
   double setup_seconds = 0.0;
-  double sampling_seconds = 0.0;
-  double sta_seconds = 0.0;
+  double sampling_seconds = 0.0;  // thread CPU seconds summed over workers
+  double sta_seconds = 0.0;       //   (McSstaResult); total is wall time
   double total_seconds = 0.0;
   std::uint32_t source = 0;      // store::FetchSource as u32
   std::uint64_t mesh_triangles = 0;

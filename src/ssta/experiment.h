@@ -103,13 +103,13 @@ struct ExperimentResult {
   double kle_sigma = 0.0;
   double e_mu_percent = 0.0;
   double e_sigma_percent = 0.0;
-  double speedup = 0.0;  // (sampling+STA) time ratio MC / KLE
+  double speedup = 0.0;  // (sampling+STA) CPU time ratio MC / KLE
 
   double mc_setup_seconds = 0.0;   // Cholesky factorization
   double kle_setup_seconds = 0.0;  // KLE solve — or store fetch — time
   std::string kle_source;          // "", or store provenance: solved/disk/memory
-  double mc_run_seconds = 0.0;
-  double kle_run_seconds = 0.0;
+  double mc_run_seconds = 0.0;   // sampling + STA, thread CPU seconds
+  double kle_run_seconds = 0.0;  //   summed across workers
 
   /// Resilience telemetry: non-empty when the Lanczos -> dense fallback
   /// fired during the KLE solve.

@@ -57,7 +57,7 @@ void compute_block_partial(const timing::StaEngine& engine,
   partial.worst_delay_sketch = QuantileSketch(options.sketch_capacity);
   partial.endpoint.resize(num_endpoints);
 
-  obs::Stopwatch sampling;
+  obs::ThreadCpuStopwatch sampling;
   const field::SampleRange range{first, n};
   for (std::size_t j = 0; j < timing::kNumStatParameters; ++j) {
     // Staged sampling: one latent fill plus one GEMM per parameter, with
@@ -69,18 +69,22 @@ void compute_block_partial(const timing::StaEngine& engine,
   }
   partial.sampling_seconds = sampling.seconds();
 
-  obs::Stopwatch sta;
+  obs::ThreadCpuStopwatch sta;
+  // The four blocks are sample-major with one row stride (N_g).
+  const timing::ParameterView view{
+      scratch.blocks[0].data(), scratch.blocks[1].data(),
+      scratch.blocks[2].data(), scratch.blocks[3].data()};
+  engine.run_block(view, scratch.blocks[0].cols(), n, scratch.timing);
+  const std::vector<double>& worst = scratch.timing.worst_delay;
   for (std::size_t i = 0; i < n; ++i) {
-    timing::ParameterView view;
-    for (std::size_t j = 0; j < timing::kNumStatParameters; ++j)
-      view[j] = scratch.blocks[j].row_ptr(i);
-    const timing::StaResult timing_result = engine.run(view);
-    partial.worst_delay.add(timing_result.worst_delay);
-    partial.worst_delay_sketch.add(timing_result.worst_delay);
-    if (samples_out != nullptr)
-      (*samples_out)[first + i] = timing_result.worst_delay;
-    for (std::size_t e = 0; e < timing_result.endpoint_arrival.size(); ++e)
-      partial.endpoint[e].add(timing_result.endpoint_arrival[e]);
+    partial.worst_delay.add(worst[i]);
+    partial.worst_delay_sketch.add(worst[i]);
+  }
+  if (samples_out != nullptr)
+    std::copy(worst.begin(), worst.end(), samples_out->begin() + first);
+  for (std::size_t e = 0; e < num_endpoints; ++e) {
+    const double* arrival = scratch.timing.endpoint_arrival.data() + e * n;
+    for (std::size_t i = 0; i < n; ++i) partial.endpoint[e].add(arrival[i]);
   }
   partial.sta_seconds = sta.seconds();
 }

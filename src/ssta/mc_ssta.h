@@ -4,9 +4,10 @@
 // parameters from one FieldSampler per parameter (the P_j matrices of
 // Algorithms 1/2 are mutually independent, so parameter j reads the
 // counter-based stream StreamKey{seed, j} — see common/rng.h for the
-// derivation scheme). Samples are generated in blocks to bound memory, and
-// the harness separately times sample generation and STA so Table 1's
-// speedup decomposition can be reported.
+// derivation scheme). Samples are generated in blocks to bound memory and
+// each block is timed at once (StaEngine::run_block). The harness
+// separately measures the CPU time of sample generation and of STA so Table
+// 1's speedup decomposition can be reported.
 //
 // There is one runner. Samples are cut into blocks and blocks into leases;
 // worker threads claim leases off the lease table (LeaseCoordinator in
@@ -72,8 +73,10 @@ struct McSstaResult {
   QuantileSketch worst_delay_sketch;       // full-distribution summary
   std::vector<RunningStats> endpoint;      // per-endpoint delay statistics
   std::vector<double> worst_delay_samples; // only with keep_samples
-  double sampling_seconds = 0.0;           // parameter-sample generation,
-  double sta_seconds = 0.0;                //   summed across workers (CPU s)
+  // Phase costs: thread CPU seconds (obs::ThreadCpuStopwatch) summed
+  // across workers, so time a worker sat preempted does not count.
+  double sampling_seconds = 0.0;           // parameter-sample generation
+  double sta_seconds = 0.0;                // block timing (run_block)
   double total_seconds = 0.0;              // end-to-end wall time
   std::size_t threads_used = 0;            // resolved worker count
 };
@@ -95,7 +98,7 @@ struct BlockPartial {
   RunningStats worst_delay;
   QuantileSketch worst_delay_sketch{QuantileSketch::kDefaultCapacity};
   std::vector<RunningStats> endpoint;
-  double sampling_seconds = 0.0;
+  double sampling_seconds = 0.0;  // thread CPU seconds, as in McSstaResult
   double sta_seconds = 0.0;
 
   /// Folds `other` into this partial. The fold is the one merge step used
@@ -109,19 +112,22 @@ struct BlockPartial {
   static BlockPartial decode(wire::ByteReader& r);
 };
 
-/// Per-worker scratch: one sample matrix per statistical parameter plus the
-/// shared latent matrix for the staged sampler interface, reused across the
-/// blocks a worker claims so allocations happen once.
+/// Per-worker scratch: one sample matrix per statistical parameter, the
+/// shared latent matrix for the staged sampler interface, and the block
+/// timer's arrays, reused across the blocks a worker claims so allocations
+/// happen once.
 struct BlockScratch {
   std::array<linalg::Matrix, timing::kNumStatParameters> blocks;
   linalg::Matrix latents;
+  timing::StaBlockResult timing;
 };
 
 /// Computes block `block_index`'s partial statistics: draws the block's
-/// sample range for all four parameters and runs STA per sample. This is a
-/// pure function of (engine, samplers, options, block_index) apart from the
-/// recorded timings, which is what makes recomputing a lost block after a
-/// crash reproduce the original partial bit for bit. `samples_out`, when
+/// sample range for all four parameters and times the whole block with one
+/// StaEngine::run_block call. This is a pure function of (engine, samplers,
+/// options, block_index) apart from the recorded timings, which is what
+/// makes recomputing a lost block after a crash reproduce the original
+/// partial bit for bit. `samples_out`, when
 /// non-null, receives per-sample worst delays at their global sample index
 /// (the keep_samples path); it must already be sized to num_samples.
 void compute_block_partial(const timing::StaEngine& engine,

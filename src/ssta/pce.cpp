@@ -152,15 +152,15 @@ PceAnalysis fit_worst_delay_pce(const timing::StaEngine& engine,
     offset += r;
   }
 
-  // Evaluate the timer and build the regression system.
+  // Time all n samples as one block, then build the regression system.
+  timing::StaBlockResult timed;
+  engine.run_block({gate_values[0].data(), gate_values[1].data(),
+                    gate_values[2].data(), gate_values[3].data()},
+                   num_physical, n, timed);
+  const linalg::Vector& response = timed.worst_delay;
   linalg::Matrix design(n, b);
-  linalg::Vector response(n);
   std::vector<double> selected(k);
   for (std::size_t i = 0; i < n; ++i) {
-    timing::ParameterView view;
-    for (std::size_t j = 0; j < timing::kNumStatParameters; ++j)
-      view[j] = gate_values[j].row_ptr(i);
-    response[i] = engine.run(view).worst_delay;
     for (std::size_t d = 0; d < k; ++d)
       selected[d] = xi(i, global_index[d]);
     fill_basis_row(selected.data(), k, design.row_ptr(i));

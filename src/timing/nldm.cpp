@@ -1,26 +1,8 @@
 #include "timing/nldm.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace sckl::timing {
-namespace {
-
-// Index of the axis segment containing (or nearest to) x, and the
-// interpolation parameter within it (can exceed [0,1] for extrapolation).
-std::pair<std::size_t, double> locate(const std::vector<double>& axis,
-                                      double x) {
-  const std::size_t n = axis.size();
-  if (n == 1) return {0, 0.0};
-  std::size_t hi = 1;
-  while (hi + 1 < n && axis[hi] < x) ++hi;
-  const std::size_t lo = hi - 1;
-  const double t = (x - axis[lo]) / (axis[hi] - axis[lo]);
-  return {lo, t};
-}
-
-}  // namespace
 
 NldmTable::NldmTable(std::vector<double> slew_axis,
                      std::vector<double> load_axis,
@@ -41,25 +23,28 @@ NldmTable::NldmTable(std::vector<double> slew_axis,
     require(row.size() == load_axis_.size(), "NldmTable: bad column count");
 }
 
+double NldmTable::row_at_load(std::size_t i, const AxisPoint& at) const {
+  if (load_axis_.size() == 1) return values_[i][0];
+  return interpolate(values_[i][at.segment], values_[i][at.segment + 1],
+                     at.t);
+}
+
+std::vector<double> NldmTable::column_at_load(double load) const {
+  require(!values_.empty(), "NldmTable::column_at_load: empty table");
+  const AxisPoint at = locate(load_axis_, load);
+  std::vector<double> column(slew_axis_.size());
+  for (std::size_t i = 0; i < column.size(); ++i)
+    column[i] = row_at_load(i, at);
+  return column;
+}
+
 double NldmTable::lookup(double input_slew, double load) const {
   require(!values_.empty(), "NldmTable::lookup: empty table");
-  const auto [i, ti] = locate(slew_axis_, input_slew);
-  const auto [j, tj] = locate(load_axis_, load);
-  if (slew_axis_.size() == 1 && load_axis_.size() == 1)
-    return values_[0][0];
-  if (slew_axis_.size() == 1) {
-    return values_[0][j] * (1.0 - tj) + values_[0][j + 1] * tj;
-  }
-  if (load_axis_.size() == 1) {
-    return values_[i][0] * (1.0 - ti) + values_[i + 1][0] * ti;
-  }
-  const double v00 = values_[i][j];
-  const double v01 = values_[i][j + 1];
-  const double v10 = values_[i + 1][j];
-  const double v11 = values_[i + 1][j + 1];
-  const double low = v00 * (1.0 - tj) + v01 * tj;
-  const double high = v10 * (1.0 - tj) + v11 * tj;
-  return low * (1.0 - ti) + high * ti;
+  const AxisPoint at = locate(load_axis_, load);
+  if (slew_axis_.size() == 1) return row_at_load(0, at);
+  const AxisPoint s = locate(slew_axis_, input_slew);
+  return interpolate(row_at_load(s.segment, at),
+                     row_at_load(s.segment + 1, at), s.t);
 }
 
 }  // namespace sckl::timing

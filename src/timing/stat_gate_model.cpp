@@ -1,7 +1,5 @@
 #include "timing/stat_gate_model.h"
 
-#include <algorithm>
-
 namespace sckl::timing {
 
 const char* stat_parameter_name(std::size_t parameter) {
@@ -17,16 +15,6 @@ const char* stat_parameter_name(std::size_t parameter) {
     default:
       return "?";
   }
-}
-
-double RankOneQuadratic::factor(const StatVector& p, double min_factor) const {
-  double lin = 0.0;
-  double proj = 0.0;
-  for (std::size_t i = 0; i < kNumStatParameters; ++i) {
-    lin += linear[i] * p[i];
-    proj += direction[i] * p[i];
-  }
-  return std::max(min_factor, 1.0 + lin + quadratic * proj * proj);
 }
 
 }  // namespace sckl::timing

@@ -10,6 +10,7 @@
 // produce non-physical negative delays.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 
@@ -37,8 +38,17 @@ struct RankOneQuadratic {
   StatVector direction{};  // v: rank-one quadratic direction
   double quadratic = 0.0;  // gamma
 
-  /// factor(p), clamped to [min_factor, +inf).
-  double factor(const StatVector& p, double min_factor = 0.2) const;
+  /// factor(p), clamped to [min_factor, +inf). Inline so the STA engine's
+  /// per-sample loops can vectorize it.
+  double factor(const StatVector& p, double min_factor = 0.2) const {
+    double lin = 0.0;
+    double proj = 0.0;
+    for (std::size_t i = 0; i < kNumStatParameters; ++i) {
+      lin += linear[i] * p[i];
+      proj += direction[i] * p[i];
+    }
+    return std::max(min_factor, 1.0 + lin + quadratic * proj * proj);
+  }
 };
 
 }  // namespace sckl::timing

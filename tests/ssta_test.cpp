@@ -13,6 +13,7 @@
 #include "circuit/bench_parser.h"
 #include "circuit/synthetic.h"
 #include "common/error.h"
+#include "common/wire.h"
 #include "core/kle_solver.h"
 #include "field/cholesky_sampler.h"
 #include "field/kle_sampler.h"
@@ -296,6 +297,114 @@ TEST_F(ParallelDeterminismTest, ThreadCapIsNumBlocks) {
   const McSstaResult r = run_with(8, 256);
   EXPECT_LE(r.threads_used, 2u);
   EXPECT_EQ(r.worst_delay.count(), 300u);
+}
+
+// --- phase timings and pinned bits -----------------------------------------
+
+/// Forwards to another sampler, but sleeps before every latent block: time
+/// that passes on the wall clock while the thread does no work.
+class SleepingSampler : public field::FieldSampler {
+ public:
+  SleepingSampler(const field::FieldSampler& inner,
+                  std::chrono::milliseconds sleep)
+      : inner_(inner), sleep_(sleep) {}
+  std::size_t num_locations() const override {
+    return inner_.num_locations();
+  }
+  std::size_t latent_dimension() const override {
+    return inner_.latent_dimension();
+  }
+  void latent_block(const field::SampleRange& range, const StreamKey& key,
+                    linalg::Matrix& xi) const override {
+    std::this_thread::sleep_for(sleep_);
+    inner_.latent_block(range, key, xi);
+  }
+  void reconstruct(const linalg::Matrix& xi,
+                   linalg::Matrix& out) const override {
+    inner_.reconstruct(xi, out);
+  }
+
+ private:
+  const field::FieldSampler& inner_;
+  std::chrono::milliseconds sleep_;
+};
+
+TEST_F(McSstaTest, PhaseTimesAreThreadCpuTime) {
+  // One block on one thread: four latent blocks, 20 ms of sleep each. The
+  // phase sums count CPU time, so the sleep stays out of sampling_seconds;
+  // total_seconds is wall time and covers it.
+  const SleepingSampler sleepy(sampler_, std::chrono::milliseconds(20));
+  McSstaOptions options;
+  options.num_samples = 64;
+  options.num_threads = 1;
+  const McSstaResult r =
+      run_monte_carlo_ssta(engine_, {&sleepy, &sleepy, &sleepy, &sleepy},
+                           options);
+  constexpr double kSlept = 4 * 0.020;
+  EXPECT_LT(r.sampling_seconds, 0.5 * kSlept);
+  EXPECT_GE(r.total_seconds, kSlept);
+  EXPECT_LE(r.sta_seconds, r.total_seconds);
+}
+
+/// A linear sampler with a fixed, formula-built operator (8 latent
+/// dimensions), so the digests below pin the Monte Carlo path — latent
+/// draws, the reconstruct GEMM, the block timer and the fold — and not an
+/// eigensolve.
+class FixedOperatorSampler : public field::LinearFieldSampler {
+ public:
+  explicit FixedOperatorSampler(std::size_t num_locations) {
+    constexpr std::size_t kLatent = 8;
+    linalg::Matrix op(kLatent, num_locations);
+    for (std::size_t k = 0; k < kLatent; ++k)
+      for (std::size_t c = 0; c < num_locations; ++c)
+        op(k, c) = 0.08 * static_cast<double>(k + 1) *
+                   (static_cast<double>((c * (2 * k + 3)) % 11) - 5.0) / 5.0;
+    set_operator(std::move(op), "test.fixed_reconstruct", nullptr);
+  }
+};
+
+/// FNV-1a 64 over the result's wire encodings (worst-delay moments and
+/// sketch, every endpoint's moments) and the retained samples' bits.
+std::uint64_t result_digest(const McSstaResult& r) {
+  std::vector<std::uint8_t> bytes;
+  r.worst_delay.encode(bytes);
+  r.worst_delay_sketch.encode(bytes);
+  for (const RunningStats& e : r.endpoint) e.encode(bytes);
+  for (double w : r.worst_delay_samples) wire::put_f64(bytes, w);
+  std::uint64_t h = 14695981039346656037ull;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(McSstaDigest, PaperCircuitsKeepTheirBits) {
+  // Pinned against the build before the block timer (per-sample STA): a
+  // change that moves every sample at once fails here, where the
+  // same-build bit-identity suites cannot see it. 1,000 samples in 4
+  // blocks (the last ragged), keep_samples, s5378 with DFF endpoints.
+  const struct {
+    const char* circuit;
+    std::uint64_t digest;
+  } golden[] = {{"c5315", 0x768f2c3de43157d4ull},
+                {"s5378", 0x1bd9ef456a3bf9b2ull}};
+  for (const auto& g : golden) {
+    const circuit::Netlist netlist = circuit::make_paper_circuit(g.circuit, 1);
+    const placer::Placement placement = placer::place(netlist);
+    const timing::CellLibrary library = timing::CellLibrary::default_90nm();
+    const timing::StaEngine engine(netlist, placement, library);
+    const FixedOperatorSampler sampler(netlist.num_physical_gates());
+    McSstaOptions options;
+    options.num_samples = 1000;
+    options.seed = 2008;
+    options.keep_samples = true;
+    options.num_threads = 2;
+    const McSstaResult r = run_monte_carlo_ssta(
+        engine, {&sampler, &sampler, &sampler, &sampler}, options);
+    ASSERT_EQ(r.worst_delay_samples.size(), 1000u);
+    EXPECT_EQ(result_digest(r), g.digest) << g.circuit;
+  }
 }
 
 // --- checkpointed (crash-safe, resumable) runner ---------------------------

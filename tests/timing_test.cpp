@@ -1,14 +1,21 @@
 // Tests for src/timing: Elmore on hand-computed RC trees, PERI/Bakoglu
 // slew, NLDM interpolation, the rank-one quadratic statistical model, the
-// synthetic cell library, and the STA engine on known circuits.
+// synthetic cell library, the STA engine on known circuits, and the block
+// timer held bit for bit against the one-sample oracle (reference_sta.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <thread>
 
 #include "circuit/bench_parser.h"
+#include "circuit/synthetic.h"
 #include "common/error.h"
 #include "placer/recursive_placer.h"
+#include "reference_sta.h"
 #include "timing/cell_library.h"
+#include "timing/library_io.h"
 #include "timing/nldm.h"
 #include "timing/rc_tree.h"
 #include "timing/sta.h"
@@ -93,6 +100,31 @@ TEST(Nldm, ExtrapolatesLinearlyOutsideGrid) {
   EXPECT_DOUBLE_EQ(table.lookup(0.0, 1.0), 3.0);
   // Beyond the load axis at slew 10: slope (9-5)/2 = 2 per load unit.
   EXPECT_DOUBLE_EQ(table.lookup(10.0, 5.0), 13.0);
+}
+
+TEST(Nldm, LookupIsTheColumnAtLoadInterpolatedAlongSlew) {
+  // The load-first split the STA engine relies on, on every axis shape.
+  const NldmTable grid(
+      {10.0, 20.0, 40.0}, {1.0, 3.0, 9.0},
+      {{5.0, 9.0, 21.0}, {7.0, 15.0, 30.0}, {8.0, 17.0, 41.0}});
+  const NldmTable one_load({10.0, 20.0, 40.0}, {2.0}, {{5.0}, {7.0}, {8.0}});
+  const NldmTable one_slew({30.0}, {1.0, 3.0}, {{4.0, 6.0}});
+  const NldmTable one_point({30.0}, {2.0}, {{6.5}});
+  for (const NldmTable* table : {&grid, &one_load, &one_slew, &one_point})
+    for (const double load : {0.3, 1.0, 2.2, 9.0, 14.0}) {
+      const std::vector<double> column = table->column_at_load(load);
+      ASSERT_EQ(column.size(), table->slew_axis().size());
+      for (const double slew : {2.0, 10.0, 17.5, 33.0, 90.0}) {
+        const AxisPoint at = locate(table->slew_axis(), slew);
+        const double split =
+            column.size() == 1
+                ? column[0]
+                : interpolate(column[at.segment], column[at.segment + 1],
+                              at.t);
+        EXPECT_EQ(table->lookup(slew, load), split)
+            << "slew " << slew << " load " << load;
+      }
+    }
 }
 
 TEST(Nldm, ValidatesConstruction) {
@@ -226,6 +258,24 @@ TEST(StaEngine, SequentialCircuitHasDffEndpoints) {
   for (double a : r.endpoint_arrival) EXPECT_GT(a, 0.0);
 }
 
+TEST(StaEngine, TiedArcsKeepTheFirstFanin) {
+  // Both pins of g hang off the same net at the same location, so their
+  // arcs tie exactly in every sample; the first fanin keeps the arc.
+  circuit::Netlist n("tie");
+  n.add_gate("pi", circuit::CellFunction::kInput, {});
+  n.add_gate("g", circuit::CellFunction::kNand, {"pi", "pi"});
+  n.add_gate("g_po", circuit::CellFunction::kOutput, {"g"});
+  n.finalize();
+  const placer::Placement p = placer::place(n);
+  const CellLibrary lib = CellLibrary::default_90nm();
+  const StaEngine engine(n, p, lib);
+  const std::size_t g = n.index_of("g");
+  ASSERT_EQ(engine.edge_elmore(g, 0), engine.edge_elmore(g, 1));
+  StaTrace trace;
+  engine.run_nominal(&trace);
+  EXPECT_EQ(trace.worst_arc[g], 0u);
+}
+
 TEST(StaEngine, LongerWiresIncreaseDelay) {
   // Same netlist placed on a tiny vs a huge die: wire delay must grow.
   const circuit::Netlist n =
@@ -239,6 +289,214 @@ TEST(StaEngine, LongerWiresIncreaseDelay) {
   const StaEngine engine_big(n, big_die, lib);
   EXPECT_GT(engine_big.run_nominal().worst_delay,
             engine_small.run_nominal().worst_delay);
+}
+
+// --- the block timer against the one-sample oracle -------------------------
+
+struct PlacedCircuit {
+  circuit::Netlist netlist;
+  placer::Placement placement;
+};
+
+PlacedCircuit place_paper_circuit(const std::string& name) {
+  PlacedCircuit c{circuit::make_paper_circuit(name, 1), {}};
+  c.placement = placer::place(c.netlist);
+  return c;
+}
+
+/// Sample-major parameter rows: `count` samples of the 4 parameters, each
+/// row `stride` doubles long (padding past the physical gates). Mostly
+/// N(0, 1), with a few 6-sigma values so the factor clamp and the tables'
+/// extrapolation are exercised.
+std::vector<std::vector<double>> random_parameters(std::size_t count,
+                                                   std::size_t stride,
+                                                   std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::normal_distribution<double> normal;
+  std::vector<std::vector<double>> blocks(kNumStatParameters);
+  for (auto& block : blocks) {
+    block.resize(count * stride);
+    for (double& v : block) v = normal(rng);
+    for (std::size_t k = 0; k < block.size(); k += 97)
+      block[k] = (k % 2 == 0 ? 6.0 : -6.0);
+  }
+  return blocks;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Times `count` samples with run_block and checks every sample's worst
+/// delay and endpoint arrivals against reference_sta by memcmp.
+void expect_block_matches_reference(const StaEngine& engine,
+                                    std::size_t count, std::uint64_t seed) {
+  const std::size_t num_physical = engine.netlist().num_physical_gates();
+  const std::size_t stride = num_physical + 3;
+  const auto blocks = random_parameters(count, stride, seed);
+  StaBlockResult out;
+  engine.run_block({blocks[0].data(), blocks[1].data(), blocks[2].data(),
+                    blocks[3].data()},
+                   stride, count, out);
+  ASSERT_EQ(out.worst_delay.size(), count);
+  ASSERT_EQ(out.endpoint_arrival.size(), count * engine.num_endpoints());
+  for (std::size_t i = 0; i < count; ++i) {
+    const ParameterView row{blocks[0].data() + i * stride,
+                            blocks[1].data() + i * stride,
+                            blocks[2].data() + i * stride,
+                            blocks[3].data() + i * stride};
+    const StaResult expected = reference_sta(engine, row);
+    ASSERT_TRUE(same_bits(out.worst_delay[i], expected.worst_delay))
+        << "sample " << i << " of " << count << ": " << out.worst_delay[i]
+        << " vs " << expected.worst_delay;
+    for (std::size_t e = 0; e < engine.num_endpoints(); ++e)
+      ASSERT_TRUE(same_bits(out.endpoint_arrival[e * count + i],
+                            expected.endpoint_arrival[e]))
+          << "sample " << i << " of " << count << ", endpoint " << e;
+  }
+}
+
+void expect_nominal_trace_matches_reference(const StaEngine& engine) {
+  StaTrace trace;
+  const StaResult result = engine.run_nominal(&trace);
+  StaTrace expected_trace;
+  const StaResult expected = reference_sta(
+      engine, {nullptr, nullptr, nullptr, nullptr}, &expected_trace);
+  EXPECT_TRUE(same_bits(result.worst_delay, expected.worst_delay));
+  ASSERT_EQ(result.endpoint_arrival.size(), expected.endpoint_arrival.size());
+  EXPECT_EQ(0, std::memcmp(result.endpoint_arrival.data(),
+                           expected.endpoint_arrival.data(),
+                           expected.endpoint_arrival.size() * sizeof(double)));
+  ASSERT_EQ(trace.arrival.size(), expected_trace.arrival.size());
+  ASSERT_EQ(trace.slew.size(), expected_trace.slew.size());
+  EXPECT_EQ(0, std::memcmp(trace.arrival.data(), expected_trace.arrival.data(),
+                           trace.arrival.size() * sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(trace.slew.data(), expected_trace.slew.data(),
+                           trace.slew.size() * sizeof(double)));
+  EXPECT_EQ(trace.worst_arc, expected_trace.worst_arc);
+}
+
+class StaBlockTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(StaBlockTest, EverySampleMatchesTheOracleBitForBit) {
+  const PlacedCircuit c = place_paper_circuit(GetParam());
+  const CellLibrary library = CellLibrary::default_90nm();
+  const StaEngine engine(c.netlist, c.placement, library);
+  if (std::string(GetParam())[0] == 's') {
+    ASSERT_FALSE(c.netlist.flip_flops().empty());
+    EXPECT_GT(engine.num_endpoints(), c.netlist.primary_outputs().size());
+  }
+  // 300 leaves a ragged last chunk.
+  for (const std::size_t count : {1u, 7u, 32u, 256u, 300u})
+    expect_block_matches_reference(engine, count, 1000 + count);
+}
+
+TEST_P(StaBlockTest, NominalTraceMatchesTheOracle) {
+  const PlacedCircuit c = place_paper_circuit(GetParam());
+  const CellLibrary library = CellLibrary::default_90nm();
+  const StaEngine engine(c.netlist, c.placement, library);
+  expect_nominal_trace_matches_reference(engine);
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperCircuits, StaBlockTest,
+                         ::testing::Values("c5315", "s5378"));
+
+TEST(StaBlock, SharedTrunkWireModelMatchesTheOracle) {
+  const PlacedCircuit c = place_paper_circuit("s5378");
+  CellLibrary library = CellLibrary::default_90nm();
+  Technology technology = library.technology();
+  technology.wire_model = WireModel::kSharedTrunkTree;
+  library.set_technology(technology);
+  const StaEngine engine(c.netlist, c.placement, library);
+  expect_block_matches_reference(engine, 40, 7);
+  expect_nominal_trace_matches_reference(engine);
+}
+
+TEST(StaBlock, EveryTableShapeMatchesTheOracle) {
+  // A parsed library with 5-point axes in which one cell has a one-point
+  // load axis, then the same library with tables the text format cannot
+  // carry: an output-slew table on its own 3-point slew axis, and a delay
+  // table with a one-point slew axis.
+  const CellLibrary base = CellLibrary::default_90nm();
+  const std::vector<double> slews{5.0, 20.0, 60.0, 150.0, 400.0};
+  const std::vector<double> loads{0.5, 2.0, 8.0, 25.0, 80.0};
+  const auto resample = [](const NldmTable& table,
+                           const std::vector<double>& slew_axis,
+                           const std::vector<double>& load_axis) {
+    std::vector<std::vector<double>> rows;
+    for (double s : slew_axis) {
+      rows.emplace_back();
+      for (double c : load_axis) rows.back().push_back(table.lookup(s, c));
+    }
+    return NldmTable(slew_axis, load_axis, rows);
+  };
+  CellLibrary one_load;
+  one_load.set_technology(base.technology());
+  const std::string inv = base.cell_for(circuit::CellFunction::kInv, 1).name;
+  for (TimingCell cell : base.cells()) {
+    const std::vector<double> cell_loads =
+        cell.name == inv ? std::vector<double>{11.0} : loads;
+    cell.delay = resample(cell.delay, slews, cell_loads);
+    cell.output_slew = resample(cell.output_slew, slews, cell_loads);
+    one_load.add_cell(cell);
+  }
+  const CellLibrary parsed = parse_library(write_library(one_load));
+  EXPECT_EQ(parsed.cell_for(circuit::CellFunction::kInv, 1)
+                .delay.load_axis()
+                .size(),
+            1u);
+
+  CellLibrary mixed;
+  mixed.set_technology(parsed.technology());
+  for (std::size_t k = 0; k < parsed.cells().size(); ++k) {
+    TimingCell cell = parsed.cells()[k];
+    if (k % 3 == 1)
+      cell.output_slew = resample(cell.output_slew, {15.0, 70.0, 260.0},
+                                  cell.delay.load_axis());
+    else if (k % 3 == 2)
+      cell.delay = resample(cell.delay, {50.0}, cell.delay.load_axis());
+    mixed.add_cell(cell);
+  }
+
+  const PlacedCircuit c = place_paper_circuit("c5315");
+  for (const CellLibrary* library :
+       {&parsed, static_cast<const CellLibrary*>(&mixed)}) {
+    const StaEngine engine(c.netlist, c.placement, *library);
+    expect_block_matches_reference(engine, 37, 11);
+    expect_nominal_trace_matches_reference(engine);
+  }
+}
+
+TEST(StaBlock, ConcurrentCallersShareOneConstEngine) {
+  // run_block keeps all its state in the caller's StaBlockResult, so
+  // threads timing blocks on one engine must each get the serial bits.
+  const PlacedCircuit c = place_paper_circuit("s5378");
+  const CellLibrary library = CellLibrary::default_90nm();
+  const StaEngine engine(c.netlist, c.placement, library);
+  const std::size_t stride = c.netlist.num_physical_gates();
+  constexpr std::size_t kCount = 48;
+  const auto blocks = random_parameters(kCount, stride, 5);
+  const ParameterView view{blocks[0].data(), blocks[1].data(),
+                           blocks[2].data(), blocks[3].data()};
+  StaBlockResult serial;
+  engine.run_block(view, stride, kCount, serial);
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<StaBlockResult> results(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int repeat = 0; repeat < 3; ++repeat)
+        engine.run_block(view, stride, kCount, results[t]);
+    });
+  for (std::thread& thread : threads) thread.join();
+  for (const StaBlockResult& r : results) {
+    EXPECT_EQ(0, std::memcmp(r.worst_delay.data(), serial.worst_delay.data(),
+                             kCount * sizeof(double)));
+    EXPECT_EQ(0, std::memcmp(r.endpoint_arrival.data(),
+                             serial.endpoint_arrival.data(),
+                             serial.endpoint_arrival.size() * sizeof(double)));
+  }
 }
 
 }  // namespace
