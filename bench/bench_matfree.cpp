@@ -1,26 +1,17 @@
-// Matrix-free KLE scaling bench (DESIGN.md §14): demonstrates the
-// hierarchical operator solving eigenpairs at triangle counts far past the
-// dense ceiling, under a bounded memory footprint, and measures what that
-// costs.
+// Matrix-free KLE scaling bench (DESIGN.md §14): solves eigenpairs with the
+// hierarchical operator at triangle counts far past the dense ceiling and
+// prints what that costs — the sweep behind EXPERIMENTS.md's matrix-free
+// table.
 //
-// Modes:
-//   bench_matfree --smoke [--json=PATH] [--max-rss-mb=MB]
-//     CI gate. (1) Accuracy: at n ~ 1.5k, matrix-free eigenvalues must match
-//     the densely assembled Lanczos solve to <= 1e-6 relative on every
-//     reported pair. (2) Memory: a matrix-free solve at n ~ 2e4 — past the
-//     point where the dense matrix alone would be 3.2 GB — must finish with
-//     process peak RSS (getrusage) under the ceiling. Exit code 1 on any
-//     violation, so ctest/CI fail loudly.
+//   bench_matfree [--sizes=10000,100000,1000000] [--pairs=8] [--aca-tol=1e-8]
+//                 [--leaf=64] [--max-subspace=0] [--dense-max-n=20000]
 //
-//   bench_matfree --sizes=10000,100000,1000000 [--pairs=M] [--json=PATH]
-//     Scaling sweep: one matrix-free solve per n, recording build/solve wall
-//     time, compression statistics, peak RSS, and (for sizes where the dense
-//     assembly is still feasible, <= --dense-max-n) the max relative
-//     eigenvalue error against the assembled-matrix Lanczos reference.
-//
-// Every measurement appends one JSON-lines record to --json with machine
-// context (hardware threads, SCKL_THREADS, governor), feeding the
-// BENCH_matfree.json perf trajectory and the EXPERIMENTS.md accuracy table.
+// One matrix-free solve per n, printing build+solve wall time, compression
+// statistics, process peak RSS (getrusage, so it includes every earlier
+// size and reference solve), and — for sizes where the dense assembly is
+// still feasible (n <= --dense-max-n) — the max relative eigenvalue error
+// against the assembled-matrix Lanczos reference. The accuracy and peak-RSS
+// gates are ctest suites (matfree_test, matfree_rss_test).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -35,11 +26,11 @@
 #endif
 
 #include "common/cli.h"
-#include "common/machine.h"
 #include "core/kle_solver.h"
 #include "kernels/kernel_fit.h"
 #include "kernels/kernel_library.h"
 #include "mesh/structured_mesher.h"
+#include "obs/export.h"
 #include "obs/stopwatch.h"
 
 namespace {
@@ -140,26 +131,6 @@ double dense_reference_error(const SolveRecord& record, std::size_t target) {
   return worst;
 }
 
-void append_json(std::FILE* json, const SolveRecord& r, double rss_mb,
-                 double aca_tol, const std::string& machine) {
-  if (json == nullptr) return;
-  const auto& h = r.info.hmat;
-  std::fprintf(
-      json,
-      "{\"bench\": \"matfree\", \"n\": %zu, \"pairs\": %zu, "
-      "\"operator\": \"%s\", \"aca_tol\": %.3g, \"wall_s\": %.3f, "
-      "\"iterations\": %zu, \"lowrank_blocks\": %zu, \"dense_blocks\": %zu, "
-      "\"compressed_mb\": %.1f, \"compression\": %.3g, \"mean_rank\": %.1f, "
-      "\"max_rank\": %zu, \"rank_cap_hits\": %zu, \"max_rss_mb\": %.1f, "
-      "\"lambda0\": %.6g, \"lambda_err_max_rel\": %.3g%s}\n",
-      r.n, r.pairs, r.op.c_str(), aca_tol, r.build_solve_s, r.iterations,
-      h.lowrank_blocks, h.dense_blocks,
-      static_cast<double>(h.compressed_bytes) / (1024.0 * 1024.0),
-      h.compression, h.mean_rank, h.max_rank, h.rank_cap_hits, rss_mb,
-      r.eigenvalues.empty() ? 0.0 : r.eigenvalues[0], r.lambda_err_max_rel,
-      machine.empty() ? "" : (", " + machine).c_str());
-}
-
 std::vector<std::size_t> parse_sizes(const std::string& csv) {
   std::vector<std::size_t> sizes;
   std::size_t start = 0;
@@ -173,89 +144,34 @@ std::vector<std::size_t> parse_sizes(const std::string& csv) {
   return sizes;
 }
 
+int run(const CliFlags& flags) {
+  const std::size_t pairs = flags.get_size("pairs", 8);
+  const double aca_tol = flags.get_double("aca-tol", 1e-8);
+  const std::size_t leaf = flags.get_size("leaf", 64);
+  const std::size_t max_subspace = flags.get_size("max-subspace", 0);
+  const std::size_t dense_max_n = flags.get_size("dense-max-n", 20'000);
+  const std::vector<std::size_t> sizes =
+      parse_sizes(flags.get_string("sizes", "10000,100000,1000000"));
+  for (const std::size_t n : sizes) {
+    SolveRecord record = matfree_solve(n, pairs, aca_tol, leaf, max_subspace);
+    if (record.n <= dense_max_n)
+      record.lambda_err_max_rel = dense_reference_error(record, n);
+    std::printf(
+        "n=%zu operator=%s wall=%.2fs iters=%zu compressed=%.1fMiB "
+        "(%.4fx dense) peak_rss=%.0fMiB lambda0=%.6g lambda_err=%.3g\n",
+        record.n, record.op.c_str(), record.build_solve_s, record.iterations,
+        static_cast<double>(record.info.hmat.compressed_bytes) /
+            (1024.0 * 1024.0),
+        record.info.hmat.compression, max_rss_mb(),
+        record.eigenvalues.empty() ? 0.0 : record.eigenvalues[0],
+        record.lambda_err_max_rel);
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
-  const bool smoke = flags.get_bool("smoke", false);
-  const std::size_t pairs =
-      static_cast<std::size_t>(flags.get_int("pairs", 8));
-  const double aca_tol = flags.get_double("aca-tol", 1e-8);
-  const std::size_t leaf =
-      static_cast<std::size_t>(flags.get_int("leaf", 64));
-  const std::size_t max_subspace =
-      static_cast<std::size_t>(flags.get_int("max-subspace", 0));
-  const double rss_ceiling_mb = flags.get_double("max-rss-mb", 1500.0);
-  const std::size_t dense_max_n =
-      static_cast<std::size_t>(flags.get_int("dense-max-n", 20'000));
-  const std::string json_path = flags.get_string("json", "");
-
-  std::FILE* json = nullptr;
-  if (!json_path.empty()) {
-    json = std::fopen(json_path.c_str(), "a");
-    if (json == nullptr) {
-      std::fprintf(stderr, "bench_matfree: cannot open %s\n",
-                   json_path.c_str());
-      return 1;
-    }
-  }
-  const std::string machine =
-      machine_context_json_fields(read_machine_context());
-  bool failed = false;
-
-  if (smoke) {
-    // Gate 1: eigenvalue accuracy against the dense-assembled solve.
-    SolveRecord small = matfree_solve(1500, 25, 1e-9, 24, 0);
-    small.lambda_err_max_rel = dense_reference_error(small, 1500);
-    std::printf("[accuracy] n=%zu operator=%s wall=%.2fs "
-                "max_rel_lambda_err=%.3g\n",
-                small.n, small.op.c_str(), small.build_solve_s,
-                small.lambda_err_max_rel);
-    if (small.op != "hmat" || small.lambda_err_max_rel > 1e-6) {
-      std::fprintf(stderr,
-                   "bench_matfree: accuracy gate FAILED (operator %s, max "
-                   "relative eigenvalue error %.3g > 1e-6)\n",
-                   small.op.c_str(), small.lambda_err_max_rel);
-      failed = true;
-    }
-    append_json(json, small, max_rss_mb(), 1e-9, machine);
-
-    // Gate 2: bounded memory past the dense ceiling. At n ~ 2e4 the dense
-    // matrix alone would be 8 n^2 ~ 3.2 GB; peak RSS must stay far under.
-    SolveRecord big = matfree_solve(20'000, pairs, aca_tol, leaf, 64);
-    const double rss = max_rss_mb();
-    std::printf("[memory]   n=%zu operator=%s wall=%.2fs peak_rss=%.0fMiB "
-                "(ceiling %.0f)\n",
-                big.n, big.op.c_str(), big.build_solve_s, rss, rss_ceiling_mb);
-    if (big.op != "hmat" || (rss > 0.0 && rss > rss_ceiling_mb)) {
-      std::fprintf(stderr,
-                   "bench_matfree: memory gate FAILED (operator %s, peak "
-                   "RSS %.0f MiB > ceiling %.0f MiB)\n",
-                   big.op.c_str(), rss, rss_ceiling_mb);
-      failed = true;
-    }
-    append_json(json, big, rss, aca_tol, machine);
-  } else {
-    const std::vector<std::size_t> sizes =
-        parse_sizes(flags.get_string("sizes", "10000,100000,1000000"));
-    for (const std::size_t n : sizes) {
-      SolveRecord record = matfree_solve(n, pairs, aca_tol, leaf,
-                                         max_subspace);
-      if (record.n <= dense_max_n)
-        record.lambda_err_max_rel = dense_reference_error(record, n);
-      const double rss = max_rss_mb();
-      std::printf(
-          "n=%zu operator=%s wall=%.2fs iters=%zu compressed=%.1fMiB "
-          "(%.4fx dense) peak_rss=%.0fMiB lambda_err=%.3g\n",
-          record.n, record.op.c_str(), record.build_solve_s,
-          record.iterations,
-          static_cast<double>(record.info.hmat.compressed_bytes) /
-              (1024.0 * 1024.0),
-          record.info.hmat.compression, rss, record.lambda_err_max_rel);
-      append_json(json, record, rss, aca_tol, machine);
-    }
-  }
-
-  if (json != nullptr) std::fclose(json);
-  return failed ? 1 : 0;
+  return obs::run_tool("bench_matfree", flags, [&] { return run(flags); });
 }

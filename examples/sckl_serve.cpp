@@ -29,6 +29,7 @@
 // (--trace / --trace-json=PATH / SCKL_TRACE); the trace report flushes
 // after the drain completes, so a SIGTERM still produces the exports.
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "common/cli.h"
@@ -43,10 +44,22 @@ namespace {
 
 using namespace sckl;
 
+/// A count, duration or port flag read into T: a negative value or one past
+/// T's range is a typed error, never a wrapped one.
+template <typename T>
+T get_bounded(const CliFlags& flags, const std::string& name, T fallback) {
+  const std::size_t value =
+      flags.get_size(name, static_cast<std::size_t>(fallback));
+  require(value <= static_cast<std::size_t>(std::numeric_limits<T>::max()),
+          "sckl_serve: --" + name + " exceeds " +
+              std::to_string(std::numeric_limits<T>::max()));
+  return static_cast<T>(value);
+}
+
 serve::Client connect(const CliFlags& flags) {
   if (flags.has("port"))
     return serve::Client::connect_tcp(
-        static_cast<std::uint16_t>(flags.get_int("port", 0)));
+        get_bounded<std::uint16_t>(flags, "port", 0));
   return serve::Client::connect_unix(
       flags.get_string("socket", "/tmp/sckl_serve.sock"));
 }
@@ -60,8 +73,7 @@ store::KleArtifactConfig solve_config(const CliFlags& flags) {
   config.mesh.area_fraction = flags.get_double("area-fraction", 0.001);
   config.mesh.mesher_seed =
       static_cast<std::uint64_t>(flags.get_int("mesh-seed", 8));
-  config.num_eigenpairs =
-      static_cast<std::uint64_t>(flags.get_int("pairs", 50));
+  config.num_eigenpairs = flags.get_size("pairs", 50);
   return config;
 }
 
@@ -69,37 +81,33 @@ int cmd_serve(const CliFlags& flags) {
   serve::ServerOptions options;
   options.unix_path = flags.get_string("socket", "/tmp/sckl_serve.sock");
   options.tcp = flags.get_bool("tcp", false) || flags.has("port");
-  options.tcp_port = static_cast<std::uint16_t>(flags.get_int("port", 0));
+  options.tcp_port = get_bounded<std::uint16_t>(flags, "port", 0);
   options.store_root = flags.get_string("root", ".sckl-store");
-  options.num_threads = static_cast<std::size_t>(flags.get_int("threads", 0));
-  options.max_queue =
-      static_cast<std::size_t>(flags.get_int("max-queue", 64));
-  options.default_deadline_ms = static_cast<std::uint32_t>(flags.get_int(
-      "deadline-ms", static_cast<long>(options.default_deadline_ms)));
-  options.max_sample_rows = static_cast<std::size_t>(flags.get_int(
-      "max-sample-rows", static_cast<long>(options.max_sample_rows)));
+  options.num_threads = flags.get_size("threads", 0);
+  options.max_queue = flags.get_size("max-queue", 64);
+  options.default_deadline_ms =
+      get_bounded(flags, "deadline-ms", options.default_deadline_ms);
+  options.max_sample_rows =
+      flags.get_size("max-sample-rows", options.max_sample_rows);
   if (flags.has("block-samples")) {
     // Shared --block-samples spelling (common/cli ExperimentFlagSet): the
     // per-chunk row count of streamed sample replies. An explicit value is
     // validated against the server's cap; the Server ctor silently clamps
     // only the built-in default.
-    options.sample_chunk_rows = static_cast<std::size_t>(
-        flags.get_int("block-samples",
-                      static_cast<long>(options.sample_chunk_rows)));
+    options.sample_chunk_rows =
+        flags.get_size("block-samples", options.sample_chunk_rows);
     require(options.sample_chunk_rows >= 1,
             "serve: --block-samples must be at least 1");
     require(options.sample_chunk_rows <= options.max_sample_rows,
             "serve: --block-samples exceeds --max-sample-rows");
   }
-  options.batch_limit =
-      static_cast<std::size_t>(flags.get_int("batch-limit", 8));
-  options.batch_window_ms =
-      static_cast<int>(flags.get_int("batch-window-ms", 0));
-  options.drain_ms = static_cast<int>(flags.get_int("drain-ms", 2000));
-  options.lease_ttl_ms = static_cast<std::uint64_t>(flags.get_int(
-      "lease-ttl", static_cast<long>(options.lease_ttl_ms)));
-  options.heartbeat_interval_ms = static_cast<std::uint64_t>(flags.get_int(
-      "heartbeat-ms", static_cast<long>(options.heartbeat_interval_ms)));
+  options.batch_limit = flags.get_size("batch-limit", 8);
+  options.batch_window_ms = get_bounded(flags, "batch-window-ms", 0);
+  options.drain_ms = get_bounded(flags, "drain-ms", 2000);
+  options.lease_ttl_ms =
+      get_bounded(flags, "lease-ttl", options.lease_ttl_ms);
+  options.heartbeat_interval_ms =
+      get_bounded(flags, "heartbeat-ms", options.heartbeat_interval_ms);
   return serve::run_daemon(options);
 }
 
@@ -118,9 +126,9 @@ int cmd_stats(const CliFlags& flags) {
 }
 
 int cmd_solve(const CliFlags& flags) {
-  serve::Client client = connect(flags);
   serve::SolveKleRequest request;
   request.config = solve_config(flags);
+  serve::Client client = connect(flags);
   const serve::SolveKleReply reply = client.solve_kle(request);
   std::printf("solve: key=%s source=%s wall=%.4fs triangles=%llu "
               "eigenpairs=%llu\n",
@@ -135,17 +143,15 @@ int cmd_solve(const CliFlags& flags) {
 int cmd_work(const CliFlags& flags) {
   serve::WorkerOptions options;
   if (flags.has("port"))
-    options.tcp_port = static_cast<std::uint16_t>(flags.get_int("port", 0));
+    options.tcp_port = get_bounded<std::uint16_t>(flags, "port", 0);
   else
     options.unix_path = flags.get_string("socket", "/tmp/sckl_serve.sock");
   options.run_id = flags.get_string("run-id", "");
   options.worker_id =
       static_cast<std::uint64_t>(flags.get_int("worker-id", 0));
-  options.max_leases_per_claim =
-      static_cast<std::size_t>(flags.get_int("max-leases", 1));
-  options.poll_ms = static_cast<int>(flags.get_int("poll-ms", 200));
-  options.rpc_timeout_ms =
-      static_cast<int>(flags.get_int("rpc-timeout-ms", 5000));
+  options.max_leases_per_claim = flags.get_size("max-leases", 1);
+  options.poll_ms = get_bounded(flags, "poll-ms", 200);
+  options.rpc_timeout_ms = get_bounded(flags, "rpc-timeout-ms", 5000);
   options.max_runtime_seconds = flags.get_double("max-runtime", 0.0);
   const serve::WorkerReport report = serve::run_worker(options);
   std::printf("worker %llu: leases=%zu blocks=%zu rejected=%zu "

@@ -3,7 +3,7 @@
 // Flags use the form --name=value (or bare --name for booleans); anything
 // else is a positional argument. Space-separated values are deliberately
 // not supported — "--flag positional" would be ambiguous. Unknown flags are
-// tolerated (benches accept google-benchmark's own flags alongside ours).
+// tolerated: a binary reads only the names it asks for.
 #pragma once
 
 #include <cstddef>

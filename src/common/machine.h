@@ -1,11 +1,10 @@
 // Machine context recorded alongside benchmark results.
 //
-// Perf trajectories (BENCH_*.json) are only comparable across runs when the
-// record says what hardware produced them: core count, the SCKL_THREADS
-// override in effect, and the cpufreq governor (a "powersave" box can be 2x
-// slower than the same silicon under "performance"). One helper builds the
-// JSON fields so bench_serve and bench_micro_kle can never drift apart on
-// what context they record.
+// Benchmark records are only comparable across runs when they say what
+// hardware produced them: core count, the SCKL_THREADS override in effect,
+// and the cpufreq governor (a "powersave" box can be 2x slower than the
+// same silicon under "performance"). perfbench splices these fields into
+// every record it prints.
 #pragma once
 
 #include <string>

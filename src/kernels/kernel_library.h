@@ -68,6 +68,7 @@ class RadialMagnitudeKernel final : public CovarianceKernel {
   double operator()(geometry::Point2 x, geometry::Point2 y) const override;
   std::string name() const override;
   std::unique_ptr<CovarianceKernel> clone() const override;
+  double c() const { return c_; }
 
  private:
   double c_;
@@ -111,6 +112,7 @@ class SphericalKernel final : public IsotropicKernel {
   double radial(double v) const override;
   std::string name() const override;
   std::unique_ptr<CovarianceKernel> clone() const override;
+  double rho() const { return rho_; }
 
  private:
   double rho_;

@@ -118,7 +118,7 @@ struct HmatOptions {
 };
 
 /// What one build produced — the memory-model numbers DESIGN.md §14
-/// documents and bench_matfree records.
+/// documents.
 struct HmatStats {
   std::size_t dim = 0;
   std::size_t leaves = 0;

@@ -12,7 +12,7 @@
 //        "metrics": [{"name","kind","count","value",          (all kinds)
 //                     "sum","min","max","p50","p99"} ...]     (histograms)
 //      }
-//    Benches merge this object into their BENCH_*.json payloads.
+//    Every binary's --trace-json=PATH writes it (CI uploads ssta_flow's).
 #pragma once
 
 #include <cstdio>

@@ -24,7 +24,8 @@
 //                    bits KleFieldSampler::sample_block produces locally
 //   kRunSsta      -> string circuit, u64 num_samples, u64 r, u64 eigenpairs,
 //                    f64 mesh_area_fraction, f64 kernel_c, u64 seed,
-//                    u64 num_threads, string run_id, u8 resume
+//                    u64 num_threads, string run_id, u8 resume,
+//                    u8 distributed, u64 mc_block_size, u64 mc_lease_blocks
 //                 <- f64 mean/sigma/p99/p999/setup/sampling/sta/total,
 //                    u32 source, u64 triangles, u64 threads_used,
 //                    u64 resumed_leases

@@ -123,9 +123,15 @@ void describe_kernel(const kernels::CovarianceKernel& kernel,
   } else if (const auto* k = dynamic_cast<const LinearConeKernel*>(&kernel)) {
     id = "linear_cone";
     params = {k->rho()};
+  } else if (const auto* k =
+                 dynamic_cast<const RadialMagnitudeKernel*>(&kernel)) {
+    id = "radial_magnitude";
+    params = {k->c()};
+  } else if (const auto* k = dynamic_cast<const SphericalKernel*>(&kernel)) {
+    id = "spherical";
+    params = {k->rho()};
   } else {
-    // RadialMagnitude/Spherical and user kernels: name() embeds the
-    // parameters, which is sufficient for keying.
+    // A kernel defined outside the library: name() is all there is.
     id = kernel.name();
     params.clear();
   }

@@ -77,10 +77,11 @@ std::uint64_t artifact_key(const KleArtifactConfig& config);
 /// The key as a fixed-width lowercase hex string (the on-disk file stem).
 std::string key_string(std::uint64_t key);
 
-/// Best-effort structural descriptor of a library kernel: family id plus
-/// exact parameter values for every type in kernels/kernel_library.h. For
-/// unknown kernel types falls back to (name(), {}), which still keys
-/// uniquely as long as name() encodes the parameters.
+/// Structural descriptor of a kernel: family id plus exact parameter values
+/// for every type in kernels/kernel_library.h, so make_kernel() rebuilds a
+/// library kernel bit for bit. A kernel defined outside the library falls
+/// back to (name(), {}), which keys it only as finely as name() prints its
+/// parameters and which make_kernel() cannot rebuild.
 void describe_kernel(const kernels::CovarianceKernel& kernel,
                      std::string& id, std::vector<double>& params);
 

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -353,8 +354,9 @@ TEST(ExactKernelOperator, MatchesAssembledGalerkinMatrix) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(yt[i], y[i]);
 }
 
-// The PR acceptance gate: matrix-free eigenvalues match the dense solve to
-// <= 1e-6 relative on every reported pair at n <= 2k.
+// The accuracy gate: matrix-free eigenvalues match the dense solve to
+// <= 1e-6 relative on every reported pair at n <= 2k, with the default tile
+// leaf and with the finer leaf-24 tree (more, smaller admissible blocks).
 TEST(SolveKleMatrixFree, EigenvaluesMatchDense) {
   const auto mesh = mesh::structured_mesh_for_count(
       geometry::BoundingBox::unit_die(), 1500);
@@ -362,30 +364,37 @@ TEST(SolveKleMatrixFree, EigenvaluesMatchDense) {
   const kernels::GaussianKernel kernel(kernels::paper_gaussian_c());
 
   const Vector dense = dense_eigenvalues(mesh, kernel);
-
-  core::KleOptions mf_options;
-  mf_options.num_eigenpairs = 25;
-  mf_options.operator_mode = core::OperatorMode::kMatrixFree;
-  mf_options.matfree.aca_tolerance = 1e-9;
-  core::KleSolveInfo info;
-  const core::KleResult mf = core::solve_kle(mesh, kernel, mf_options, &info);
-
-  EXPECT_EQ(info.operator_used, "hmat");
-  EXPECT_TRUE(info.hmat_failure_reason.empty());
-  EXPECT_GT(info.hmat.lowrank_blocks, 0u);
-
-  ASSERT_EQ(mf.num_eigenpairs(), 25u);
   const double lead = dense[0];
   ASSERT_GT(lead, 0.0);
-  for (std::size_t j = 0; j < mf.num_eigenpairs(); ++j) {
-    const double reference = std::max(dense[j], 0.0);
-    const double got = mf.eigenvalue(j);
-    // Relative per-pair gate; pairs that have decayed below the dense
-    // solver's own noise floor are compared relative to lambda_0 instead.
-    if (reference > 1e-9 * lead) {
-      EXPECT_LE(std::abs(got - reference), 1e-6 * reference) << "pair " << j;
-    } else {
-      EXPECT_LE(std::abs(got - reference), 1e-9 * lead) << "pair " << j;
+
+  for (const std::size_t leaf : {linalg::HmatOptions{}.leaf_size,
+                                 std::size_t{24}}) {
+    SCOPED_TRACE("leaf_size " + std::to_string(leaf));
+    core::KleOptions mf_options;
+    mf_options.num_eigenpairs = 25;
+    mf_options.operator_mode = core::OperatorMode::kMatrixFree;
+    mf_options.matfree.aca_tolerance = 1e-9;
+    mf_options.matfree.leaf_size = leaf;
+    core::KleSolveInfo info;
+    const core::KleResult mf =
+        core::solve_kle(mesh, kernel, mf_options, &info);
+
+    EXPECT_EQ(info.operator_used, "hmat");
+    EXPECT_TRUE(info.hmat_failure_reason.empty());
+    EXPECT_GT(info.hmat.lowrank_blocks, 0u);
+
+    ASSERT_EQ(mf.num_eigenpairs(), 25u);
+    for (std::size_t j = 0; j < mf.num_eigenpairs(); ++j) {
+      const double reference = std::max(dense[j], 0.0);
+      const double got = mf.eigenvalue(j);
+      // Relative per-pair gate; pairs that have decayed below the dense
+      // solver's own noise floor are compared relative to lambda_0 instead.
+      if (reference > 1e-9 * lead) {
+        EXPECT_LE(std::abs(got - reference), 1e-6 * reference)
+            << "pair " << j;
+      } else {
+        EXPECT_LE(std::abs(got - reference), 1e-9 * lead) << "pair " << j;
+      }
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -248,37 +249,50 @@ TEST_F(ServeTest, DistributedRunMatchesNonDistributedBitForBit) {
   local.distributed = false;
   const serve::RunSstaReply expected = c.run_ssta(local);
 
-  // Distributed coordinator plus one in-process worker thread. The worker
-  // polls until the run registers, claims leases over the wire, fetches the
-  // KLE through kSolveKle, and publishes partials the coordinator folds.
-  serve::WorkerOptions wopts;
-  wopts.unix_path = options_.unix_path;
-  wopts.run_id = "dist-run";
-  wopts.worker_id = 42;
-  wopts.poll_ms = 25;
-  wopts.max_runtime_seconds = 120.0;
-  serve::WorkerReport report;
-  std::thread worker([&] { report = serve::run_worker(wopts); });
+  // Distributed coordinator plus one, then two, in-process worker threads.
+  // Each worker polls until the run registers, claims leases over the wire,
+  // fetches the KLE through kSolveKle, and publishes partials the
+  // coordinator folds.
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(std::to_string(workers) + " worker(s)");
+    const std::string run_id = "dist-run-w" + std::to_string(workers);
+    std::vector<serve::WorkerReport> reports(workers);
+    std::vector<std::thread> threads;
+    for (std::size_t w = 0; w < workers; ++w)
+      threads.emplace_back([&, w] {
+        serve::WorkerOptions wopts;
+        wopts.unix_path = options_.unix_path;
+        wopts.run_id = run_id;
+        wopts.worker_id = 42 + w;
+        wopts.poll_ms = 25;
+        wopts.max_runtime_seconds = 120.0;
+        reports[w] = serve::run_worker(wopts);
+      });
+    const serve::RunSstaReply reply = c.run_ssta(dist_ssta_request(run_id));
+    for (std::thread& t : threads) t.join();
 
-  const serve::RunSstaReply reply = c.run_ssta(dist_ssta_request("dist-run"));
-  worker.join();
+    // Index-addressed sampling: remote partials are the bits the
+    // coordinator would have computed, so the statistics cannot move at all.
+    std::size_t remote_leases = 0;
+    for (const serve::WorkerReport& report : reports) {
+      EXPECT_TRUE(report.run_complete)
+          << "worker " << report.worker_id
+          << ": rejected=" << report.publishes_rejected
+          << " blocks=" << report.blocks_computed
+          << " heartbeats=" << report.heartbeats
+          << " retries=" << report.rpc_retries;
+      remote_leases += report.leases_computed;
+    }
+    EXPECT_GE(remote_leases, 1u);
+    EXPECT_EQ(reply.mean, expected.mean);
+    EXPECT_EQ(reply.sigma, expected.sigma);
+    EXPECT_EQ(reply.p99, expected.p99);
+    EXPECT_EQ(reply.p999, expected.p999);
+  }
 
-  // Index-addressed sampling: remote partials are the bits the coordinator
-  // would have computed, so the statistics cannot move at all.
-  EXPECT_TRUE(report.run_complete);
-  EXPECT_GE(report.leases_computed, 1u)
-      << "rejected=" << report.publishes_rejected
-      << " blocks=" << report.blocks_computed
-      << " heartbeats=" << report.heartbeats
-      << " retries=" << report.rpc_retries;
-  EXPECT_EQ(reply.mean, expected.mean);
-  EXPECT_EQ(reply.sigma, expected.sigma);
-  EXPECT_EQ(reply.p99, expected.p99);
-  EXPECT_EQ(reply.p999, expected.p999);
-
-  // Resuming the distributed run serves every lease from the ledger: no
+  // Resuming a distributed run serves every lease from the ledger: no
   // workers needed, identical bits.
-  serve::RunSstaRequest resume = dist_ssta_request("dist-run");
+  serve::RunSstaRequest resume = dist_ssta_request("dist-run-w1");
   resume.resume = true;
   const serve::RunSstaReply resumed = c.run_ssta(resume);
   EXPECT_EQ(resumed.resumed_leases, 4u);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -253,8 +254,55 @@ TEST(KeyHashTest, DescribeKernelMatchesLibraryTypes) {
   EXPECT_EQ(id, "matern");
   EXPECT_EQ(params, (std::vector<double>{2.0, 3.0}));
   store::describe_kernel(kernels::SphericalKernel(1.5), id, params);
-  EXPECT_TRUE(params.empty());
-  EXPECT_FALSE(id.empty());  // falls back to name()
+  EXPECT_EQ(id, "spherical");
+  EXPECT_EQ(params, (std::vector<double>{1.5}));
+}
+
+/// The artifact key of small_config() with its kernel replaced by `kernel`.
+std::uint64_t key_of(const kernels::CovarianceKernel& kernel) {
+  store::KleArtifactConfig config = small_config();
+  store::describe_kernel(kernel, config.kernel_id, config.kernel_params);
+  return store::artifact_key(config);
+}
+
+// Every library family round-trips through its descriptor: make_kernel
+// rebuilds a kernel with the same bits and the same key, and a parameter
+// that differs past the six digits name() prints still changes the key.
+TEST(KeyHashTest, DescribeKernelRoundTripsEveryFamily) {
+  std::vector<std::unique_ptr<kernels::CovarianceKernel>> library;
+  library.push_back(std::make_unique<kernels::GaussianKernel>(2.3456781));
+  library.push_back(std::make_unique<kernels::ExponentialKernel>(1.5000003));
+  library.push_back(std::make_unique<kernels::SeparableL1Kernel>(0.7000001));
+  library.push_back(
+      std::make_unique<kernels::MaternKernel>(3.0000002, 2.5000001));
+  library.push_back(std::make_unique<kernels::LinearConeKernel>(1.1000004));
+  library.push_back(
+      std::make_unique<kernels::RadialMagnitudeKernel>(2.0000001));
+  library.push_back(std::make_unique<kernels::SphericalKernel>(1.2345678));
+  const std::vector<std::pair<geometry::Point2, geometry::Point2>> points = {
+      {{0.0, 0.0}, {1.0, 0.0}},
+      {{0.1, 0.2}, {0.7, 0.4}},
+      {{0.5, 0.9}, {0.3, 0.1}}};
+  for (const auto& kernel : library) {
+    SCOPED_TRACE(kernel->name());
+    std::string id;
+    std::vector<double> params;
+    store::describe_kernel(*kernel, id, params);
+    const auto rebuilt = store::make_kernel(id, params);
+    for (const auto& [x, y] : points)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>((*rebuilt)(x, y)),
+                std::bit_cast<std::uint64_t>((*kernel)(x, y)));
+    EXPECT_EQ(key_of(*rebuilt), key_of(*kernel));
+  }
+
+  const kernels::SphericalKernel spherical_a(1.2345678);
+  const kernels::SphericalKernel spherical_b(1.2345681);
+  ASSERT_EQ(spherical_a.name(), spherical_b.name());
+  EXPECT_NE(key_of(spherical_a), key_of(spherical_b));
+  const kernels::RadialMagnitudeKernel radial_a(2.0000001);
+  const kernels::RadialMagnitudeKernel radial_b(2.0000004);
+  ASSERT_EQ(radial_a.name(), radial_b.name());
+  EXPECT_NE(key_of(radial_a), key_of(radial_b));
 }
 
 // --- LruCache --------------------------------------------------------------
