@@ -21,6 +21,7 @@
 #include "mesh/refine.h"
 #include "placer/recursive_placer.h"
 #include "ssta/canonical.h"
+#include "ssta/experiment.h"
 #include "ssta/mc_ssta.h"
 
 int main(int argc, char** argv) {
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
   const kernels::GaussianKernel kernel(kernels::paper_gaussian_c());
   const mesh::TriMesh mesh = mesh::paper_mesh();
   core::KleOptions kle_options;
-  kle_options.num_eigenpairs = std::max<std::size_t>(2 * r, 50);
+  kle_options.num_eigenpairs = ssta::num_eigenpairs_for(r);
   const core::KleResult kle = core::solve_kle(mesh, kernel, kle_options);
 
   std::printf("# Canonical SSTA (Clark max on %zu KLE RVs x 4 parameters) "

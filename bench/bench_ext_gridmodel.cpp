@@ -22,6 +22,7 @@
 #include "kernels/kernel_library.h"
 #include "mesh/refine.h"
 #include "placer/recursive_placer.h"
+#include "ssta/experiment.h"
 #include "ssta/mc_ssta.h"
 
 int main(int argc, char** argv) {
@@ -79,7 +80,7 @@ int main(int argc, char** argv) {
 
   const mesh::TriMesh mesh = mesh::paper_mesh();
   core::KleOptions kle_options;
-  kle_options.num_eigenpairs = std::max<std::size_t>(2 * r, 50);
+  kle_options.num_eigenpairs = ssta::num_eigenpairs_for(r);
   const core::KleResult kle = core::solve_kle(mesh, kernel, kle_options);
   const field::KleFieldSampler kle_sampler(kle, r, locations);
   const ssta::McSstaResult kle_run = run_monte_carlo_ssta(

@@ -3,11 +3,11 @@
 //   sckl_serve serve    --socket=PATH [--tcp] [--port=0] --root=DIR
 //                       [--threads=0] [--max-queue=64] [--deadline-ms=30000]
 //                       [--max-sample-rows=1048576] [--block-samples=2048]
-//                       [--batch-limit=8]
-//                       [--batch-window-ms=0] [--drain-ms=2000]
-//                       [--lease-ttl=300000] [--heartbeat-ms=1000]
+//                       [--drain-ms=2000] [--lease-ttl=300000]
+//                       [--heartbeat-ms=1000]
 //       Runs the daemon until SIGTERM/SIGINT or a shutdown request, then
-//       drains gracefully and exits 0.
+//       drains gracefully and exits 0. Workers serve one request at a time
+//       in arrival order, with no request batching.
 //   sckl_serve ping     --socket=PATH | --port=P
 //       Hello round-trip; prints the server identification.
 //   sckl_serve stats    --socket=PATH | --port=P
@@ -101,8 +101,6 @@ int cmd_serve(const CliFlags& flags) {
     require(options.sample_chunk_rows <= options.max_sample_rows,
             "serve: --block-samples exceeds --max-sample-rows");
   }
-  options.batch_limit = flags.get_size("batch-limit", 8);
-  options.batch_window_ms = get_bounded(flags, "batch-window-ms", 0);
   options.drain_ms = get_bounded(flags, "drain-ms", 2000);
   options.lease_ttl_ms =
       get_bounded(flags, "lease-ttl", options.lease_ttl_ms);

@@ -81,9 +81,8 @@ int run(const sckl::CliFlags& flags) {
   // debris a previously killed writer may have left.
   ssta::KleRunRequest request;
   request.r = config.r;
-  request.num_eigenpairs = config.num_eigenpairs != 0
-                               ? config.num_eigenpairs
-                               : std::max<std::size_t>(2 * config.r, 50);
+  request.num_eigenpairs =
+      ssta::num_eigenpairs_for(config.r, config.num_eigenpairs);
   request.validate = validate;
   request.run_id = config.run_id;
   request.resume = config.resume;

@@ -35,8 +35,8 @@
 //    scalar/AVX2/AVX-512 dispatch and any block shape give identical bits).
 //    sample_block is the composed convenience and is exactly
 //    latent_block + reconstruct; callers that manage their own latent
-//    scratch (the MC block pipeline, the serve batcher) call the stages
-//    directly and size blocks for the kernel.
+//    scratch (the MC block pipeline, the serve daemon's SampleBlock chunks)
+//    call the stages directly and size blocks for the kernel.
 #pragma once
 
 #include <cstddef>

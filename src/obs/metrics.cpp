@@ -274,8 +274,6 @@ void register_standard_metrics() {
   counter("sckl.serve.rejected.reply_bytes");
   counter("sckl.serve.connections");
   counter("sckl.serve.connections_reaped");
-  counter("sckl.serve.batches");
-  counter("sckl.serve.batched_requests");
   counter("sckl.serve.sampler_cache.hits");
   counter("sckl.serve.sampler_cache.misses");
   gauge("sckl.serve.queue_depth");

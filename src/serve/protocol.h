@@ -122,7 +122,7 @@ struct RunSstaRequest {
   std::string circuit = "c880";
   std::uint64_t num_samples = 200;
   std::uint64_t r = 25;
-  std::uint64_t num_eigenpairs = 0;       // 0 = max(2r, 50), as ExperimentConfig
+  std::uint64_t num_eigenpairs = 0;       // 0 = ssta::num_eigenpairs_for(r)
   double mesh_area_fraction = 0.001;
   double kernel_c = 0.0;                  // 0 = the paper's fitted value
   std::uint64_t seed = 1;

@@ -46,7 +46,6 @@ Server::Server(const ServerOptions& options)
   require(!options_.store_root.empty(), "Server: store_root is required");
   require(!options_.unix_path.empty() || options_.tcp,
           "Server: configure a unix socket path and/or TCP");
-  require(options_.batch_limit >= 1, "Server: batch_limit must be >= 1");
   require(options_.sample_chunk_rows >= 1,
           "Server: sample_chunk_rows must be >= 1");
   // A chunk larger than the per-request row cap can never fill; clamp so
@@ -325,9 +324,8 @@ void Server::connection_loop(std::shared_ptr<Connection> conn) {
                             std::to_string(options_.max_payload_bytes),
                         ErrorCode::kPrecondition);
           }
-          // Sampler identity: requests agreeing on this key share one
-          // constructed sampler, both within a batch and in the sampler
-          // cache, which is keyed by it.
+          // Sampler identity, computed once here: the sampler cache is
+          // keyed by it, so requests agreeing on it share one sampler.
           store::ContentHasher h;
           h.update_u64(store::artifact_key(request.sample->config));
           h.update_u64(request.sample->r);
@@ -336,7 +334,7 @@ void Server::connection_loop(std::shared_ptr<Connection> conn) {
             h.update_double(p.x);
             h.update_double(p.y);
           }
-          request.batch_key = h.digest();
+          request.sampler_key = h.digest();
           break;
         }
         case MessageType::kRunSsta:
@@ -401,63 +399,21 @@ bool Server::deadline_expired(const Request& request) {
 
 void Server::worker_loop() {
   for (;;) {
-    std::vector<Request> batch;
+    Request request;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock,
                      [&] { return stop_workers_.load() || !queue_.empty(); });
       if (queue_.empty()) return;  // only reachable when stopping
-      batch.push_back(std::move(queue_.front()));
+      request = std::move(queue_.front());
       queue_.pop_front();
-
-      if (batch.front().type == MessageType::kSampleBlock &&
-          options_.batch_limit > 1) {
-        // A copy: push_back below may reallocate batch under batch.front().
-        const std::uint64_t head_key = batch.front().batch_key;
-        const auto collect = [&] {
-          for (auto it = queue_.begin();
-               it != queue_.end() && batch.size() < options_.batch_limit;) {
-            if (it->type == MessageType::kSampleBlock &&
-                it->batch_key == head_key) {
-              batch.push_back(std::move(*it));
-              it = queue_.erase(it);
-            } else {
-              ++it;
-            }
-          }
-        };
-        collect();
-        if (options_.batch_window_ms > 0 &&
-            batch.size() < options_.batch_limit) {
-          // Hold the batch open briefly so concurrent clients hitting the
-          // same KLE land in one sampler pass instead of N.
-          const auto window_end =
-              Clock::now() + std::chrono::milliseconds(options_.batch_window_ms);
-          while (batch.size() < options_.batch_limit &&
-                 !stop_workers_.load()) {
-            if (queue_cv_.wait_until(lock, window_end) ==
-                std::cv_status::timeout) {
-              collect();
-              break;
-            }
-            collect();
-          }
-        }
-      }
-      in_flight_ += batch.size();
+      ++in_flight_;
       obs::gauge("sckl.serve.queue_depth")
           .set(static_cast<double>(queue_.size()));
     }
 
-    if (batch.size() > 1) {
-      obs::counter("sckl.serve.batches").add(1);
-      obs::counter("sckl.serve.batched_requests").add(batch.size());
-    }
     try {
-      if (batch.front().type == MessageType::kSampleBlock)
-        execute_sample_batch(batch);
-      else
-        execute(batch.front());
+      execute(request);
     } catch (...) {
       // execute() handles per-request errors; this is a last-resort guard
       // so no exception can escape into the pool barrier.
@@ -465,7 +421,7 @@ void Server::worker_loop() {
 
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
-      in_flight_ -= batch.size();
+      --in_flight_;
       if (queue_.empty() && in_flight_ == 0) drained_cv_.notify_all();
     }
   }
@@ -524,7 +480,8 @@ void Server::execute(Request& request) {
                      /*is_error=*/false);
         break;
       case MessageType::kSampleBlock:
-        break;  // handled by execute_sample_batch
+        do_sample_block(request);
+        break;
     }
   } catch (const Error& e) {
     if (e.code() == ErrorCode::kDeadlineExceeded)
@@ -536,63 +493,42 @@ void Server::execute(Request& request) {
   obs::histogram("sckl.serve.request_us").record(watch.seconds() * 1e6);
 }
 
-void Server::execute_sample_batch(std::vector<Request>& batch) {
-  // One sampler lookup/construction serves the whole batch.
-  std::shared_ptr<const field::KleFieldSampler> sampler;
-  try {
-    sampler = sampler_for(batch.front().batch_key, *batch.front().sample);
-  } catch (const Error& e) {
-    for (Request& request : batch) reply_error(request, e.code(), e.what());
-    return;
-  } catch (const std::exception& e) {
-    for (Request& request : batch)
-      reply_error(request, ErrorCode::kGeneric, e.what());
-    return;
+void Server::do_sample_block(const Request& request) {
+  const SampleBlockRequest& body = *request.sample;
+  const std::shared_ptr<const field::KleFieldSampler> sampler =
+      sampler_for(request.sampler_key, body);
+  // Opened after the sampler fetch: perfbench's serve_sample joins this span
+  // with the store.fetch span before it on the same thread.
+  obs::Span span("serve.sample_block");
+  span.set_tag(request.header.request_id);
+  SampleBlockReply reply;
+  reply.rows = body.range.count;
+  reply.cols = sampler->num_locations();
+  reply.values.reserve(static_cast<std::size_t>(reply.rows) *
+                       static_cast<std::size_t>(reply.cols));
+  linalg::Matrix latents;
+  linalg::Matrix chunk;
+  std::size_t done = 0;
+  while (done < body.range.count) {
+    // Deadlines cancel between chunks, so one giant request cannot pin a
+    // worker past its budget.
+    if (deadline_expired(request))
+      throw Error("sample_block: deadline expired mid-generation",
+                  ErrorCode::kDeadlineExceeded);
+    const std::size_t n =
+        std::min(options_.sample_chunk_rows, body.range.count - done);
+    // Chunking cannot change the bits: every sample row is a pure function
+    // of its global index (stateless index-addressed draws). The chunk is
+    // produced through the staged interface — one latent fill, one GEMM —
+    // with both matrices reused across chunks.
+    const field::SampleRange range{body.range.first + done, n};
+    sampler->latent_block(range, body.stream, latents);
+    sampler->reconstruct(latents, chunk);
+    reply.values.insert(reply.values.end(), chunk.data(),
+                        chunk.data() + n * sampler->num_locations());
+    done += n;
   }
-
-  for (Request& request : batch) {
-    obs::Span span("serve.sample_block");
-    span.set_tag(request.header.request_id);
-    obs::Stopwatch watch;
-    const SampleBlockRequest& body = *request.sample;
-    try {
-      SampleBlockReply reply;
-      reply.rows = body.range.count;
-      reply.cols = sampler->num_locations();
-      reply.values.reserve(static_cast<std::size_t>(reply.rows) *
-                           static_cast<std::size_t>(reply.cols));
-      linalg::Matrix latents;
-      linalg::Matrix chunk;
-      std::size_t done = 0;
-      while (done < body.range.count) {
-        // Deadlines cancel between chunks, so one giant request cannot pin
-        // a worker past its budget.
-        if (deadline_expired(request))
-          throw Error("sample_block: deadline expired mid-generation",
-                      ErrorCode::kDeadlineExceeded);
-        const std::size_t n = std::min(options_.sample_chunk_rows,
-                                       body.range.count - done);
-        // Chunking cannot change the bits: every sample row is a pure
-        // function of its global index (stateless index-addressed draws).
-        // The chunk is produced through the staged interface — one latent
-        // fill, one GEMM — with both matrices reused across chunks.
-        const field::SampleRange range{body.range.first + done, n};
-        sampler->latent_block(range, body.stream, latents);
-        sampler->reconstruct(latents, chunk);
-        reply.values.insert(reply.values.end(), chunk.data(),
-                            chunk.data() + n * sampler->num_locations());
-        done += n;
-      }
-      send_payload(request, encode_reply(reply), /*is_error=*/false);
-    } catch (const Error& e) {
-      if (e.code() == ErrorCode::kDeadlineExceeded)
-        obs::counter("sckl.serve.rejected.deadline").add(1);
-      reply_error(request, e.code(), e.what());
-    } catch (const std::exception& e) {
-      reply_error(request, ErrorCode::kGeneric, e.what());
-    }
-    obs::histogram("sckl.serve.request_us").record(watch.seconds() * 1e6);
-  }
+  send_payload(request, encode_reply(reply), /*is_error=*/false);
 }
 
 SolveKleReply Server::do_solve(const SolveKleRequest& request) {
@@ -614,8 +550,8 @@ SolveKleReply Server::do_solve(const SolveKleRequest& request) {
 }
 
 std::shared_ptr<const field::KleFieldSampler> Server::sampler_for(
-    std::uint64_t batch_key, const SampleBlockRequest& request) {
-  if (auto cached = sampler_cache_.get(batch_key)) {
+    std::uint64_t sampler_key, const SampleBlockRequest& request) {
+  if (auto cached = sampler_cache_.get(sampler_key)) {
     obs::counter("sckl.serve.sampler_cache.hits").add(1);
     return cached;
   }
@@ -626,7 +562,7 @@ std::shared_ptr<const field::KleFieldSampler> Server::sampler_for(
       store_->get_or_compute(request.config, *kernel);
   auto sampler = std::make_shared<const field::KleFieldSampler>(
       *fetch.artifact, static_cast<std::size_t>(request.r), request.locations);
-  sampler_cache_.put(batch_key, sampler, sampler->matrix_bytes());
+  sampler_cache_.put(sampler_key, sampler, sampler->matrix_bytes());
   return sampler;
 }
 
@@ -673,9 +609,7 @@ RunSstaReply Server::do_run_ssta(const RunSstaRequest& request,
   }
 
   const std::size_t m =
-      config.num_eigenpairs != 0
-          ? config.num_eigenpairs
-          : std::max<std::size_t>(2 * config.r, 50);
+      ssta::num_eigenpairs_for(config.r, config.num_eigenpairs);
 
   std::lock_guard<std::mutex> entry_lock(entry->mu);
   if (!entry->pipeline)

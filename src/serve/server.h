@@ -28,22 +28,24 @@
 //                    A full queue rejects immediately with kOverloaded —
 //                    predictable backpressure instead of unbounded latency.
 //   worker pool      one common/ThreadPool (the same pool type the MC-SSTA
-//                    engine uses) runs every request. Workers pop from the
-//                    queue; compatible concurrent SampleBlock requests for
-//                    the same (KLE key, r, locations) are drained together
-//                    and served from one sampler construction (batching).
+//                    engine uses) runs every request. Each worker pops one
+//                    request at a time, in arrival order, and runs it
+//                    through execute() whatever its message type. A
+//                    SampleBlock takes its sampler from an LRU keyed by
+//                    (KLE key, r, locations); a burst of cold requests for
+//                    one key builds it at most once per worker.
 //   deadlines        per-request (frame header deadline_ms, else the server
-//                    default). Checked before execution, between sample
-//                    chunks, and between Monte Carlo blocks (the cancelled
-//                    callback of McSstaOptions); an expired request gets a
-//                    typed kDeadlineExceeded reply. Fault site
+//                    default). Checked at dequeue, before any work, then
+//                    between sample chunks and between Monte Carlo blocks
+//                    (the cancelled callback of McSstaOptions); an expired
+//                    request gets a typed kDeadlineExceeded reply. Fault site
 //                    `serve_deadline` forces the next check to report
 //                    expiry, deterministically.
 //
 // Determinism: SampleBlock replies are generated with the same stateless
 // index-addressed samplers as local code, so the returned doubles are
 // bit-identical to a local sample_block for the same (key, range, stream) —
-// regardless of batching, chunking, or which worker served the request.
+// regardless of chunking or which worker served the request.
 //
 // Graceful shutdown: stop() (or a SIGTERM via serve/daemon.h) stops
 // accepting, drains queued + in-flight requests bounded by drain_ms,
@@ -106,12 +108,6 @@ struct ServerOptions {
   /// forever, which would also make stop() overshoot drain_ms.
   std::uint32_t default_deadline_ms = 30'000;
 
-  /// Max SampleBlock requests fused into one batch (1 = batching off).
-  std::size_t batch_limit = 8;
-  /// How long a worker holding one SampleBlock waits for co-batchable
-  /// requests to arrive before running alone (0 = do not wait; batching
-  /// then only fuses requests that are already queued).
-  int batch_window_ms = 0;
   /// LRU byte budget for constructed KleFieldSamplers, keyed by
   /// (artifact key, r, locations).
   std::size_t sampler_cache_bytes = std::size_t{64} << 20;
@@ -207,7 +203,7 @@ class Server {
     std::optional<PublishPartialRequest> publish;
     std::optional<HeartbeatRequest> heartbeat;
     std::optional<RunStatusRequest> status;
-    std::uint64_t batch_key = 0;  // SampleBlock: sampler identity hash
+    std::uint64_t sampler_key = 0;  // SampleBlock: sampler identity hash
   };
 
   /// A cached, mutex-serialized SSTA pipeline (one per distinct config).
@@ -251,7 +247,8 @@ class Server {
   static bool deadline_expired(const Request& request);
 
   void execute(Request& request);
-  void execute_sample_batch(std::vector<Request>& batch);
+  /// Generates a SampleBlock reply chunk by chunk and sends it.
+  void do_sample_block(const Request& request);
   SolveKleReply do_solve(const SolveKleRequest& request);
   RunSstaReply do_run_ssta(const RunSstaRequest& request,
                            const Request& envelope);
@@ -266,10 +263,10 @@ class Server {
   /// Validates the worker's config_hash against the run's (0 = not known
   /// yet, always accepted); throws kPrecondition on mismatch.
   static void check_config_hash(const DistRun& run, std::uint64_t claimed);
-  /// The sampler of a SampleBlock batch, cached under the batch's
-  /// `batch_key` (the sampler identity computed when the request was read).
+  /// The sampler of a SampleBlock, cached under the request's `sampler_key`
+  /// (the sampler identity computed when the request was read).
   std::shared_ptr<const field::KleFieldSampler> sampler_for(
-      std::uint64_t batch_key, const SampleBlockRequest& request);
+      std::uint64_t sampler_key, const SampleBlockRequest& request);
 
   void send_payload(const Request& request,
                     const std::vector<std::uint8_t>& payload, bool is_error);

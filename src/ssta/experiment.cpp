@@ -1,5 +1,6 @@
 #include "ssta/experiment.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -51,6 +52,10 @@ void add_experiment_flags(const CliFlags& flags, ExperimentConfig& config) {
   config.resume = set.resume;
   config.matrix_free = set.matrix_free;
   config.aca_tolerance = set.aca_tol;
+}
+
+std::size_t num_eigenpairs_for(std::size_t r, std::size_t requested) {
+  return requested != 0 ? requested : std::max<std::size_t>(2 * r, 50);
 }
 
 robust::HealthReport fold_kle_health(const KleRunInfo& info) {
@@ -228,9 +233,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   KleRunRequest request;
   request.r = config.r;
-  request.num_eigenpairs = config.num_eigenpairs != 0
-                               ? config.num_eigenpairs
-                               : std::max<std::size_t>(2 * config.r, 50);
+  request.num_eigenpairs = num_eigenpairs_for(config.r, config.num_eigenpairs);
   request.validate = config.validate_kle || config.strict;
   request.matrix_free = config.matrix_free;
   request.aca_tolerance = config.aca_tolerance;

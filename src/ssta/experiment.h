@@ -29,7 +29,7 @@ struct ExperimentConfig {
   std::string circuit = "c1908";   // paper circuit name
   std::size_t num_samples = 1000;  // per SSTA run (paper used 100K)
   std::size_t r = 25;              // KLE truncation (paper's choice)
-  std::size_t num_eigenpairs = 0;  // computed pairs m; 0 = max(2r, 50)
+  std::size_t num_eigenpairs = 0;  // pairs m; 0 = num_eigenpairs_for(r)
   double mesh_area_fraction = 0.001;  // paper: max area 0.1% of the die
   double kernel_c = 0.0;           // Gaussian decay; 0 = the paper's 2-D fit
   std::uint64_t seed = 1;
@@ -88,6 +88,11 @@ struct ExperimentConfig {
 /// because common cannot depend on ssta types. Fields without a flag
 /// (mesh_area_fraction, kernel_c, ...) keep the values already in `config`.
 void add_experiment_flags(const CliFlags& flags, ExperimentConfig& config);
+
+/// The number m of KLE eigenpairs a run computes for truncation r:
+/// `requested` when nonzero, else the default max(2r, 50). Every run that
+/// leaves m unset (pipeline, daemon, tools, benches) resolves it here.
+std::size_t num_eigenpairs_for(std::size_t r, std::size_t requested = 0);
 
 /// Everything the benches report about one circuit.
 struct ExperimentResult {

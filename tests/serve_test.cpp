@@ -1,7 +1,8 @@
 // Tests of the sckl_serve daemon: protocol robustness (hostile bytes give
 // typed errors, never crashes), SampleBlock bit-exactness vs local
-// sampling, cold-key solve dedup across concurrent clients, batching,
-// deadlines, admission control, fault sites, and graceful shutdown —
+// sampling (also with more clients than workers, so requests queue),
+// cold-key solve dedup across concurrent clients, deadlines checked before
+// any work, admission control, fault sites, and graceful shutdown —
 // including a fork-based SIGTERM-under-load restart test.
 #include <gtest/gtest.h>
 
@@ -22,7 +23,6 @@
 #include "common/socket.h"
 #include "field/kle_sampler.h"
 #include "kernels/kernel_fit.h"
-#include "obs/metrics.h"
 #include "robust/fault_injection.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
@@ -82,7 +82,9 @@ serve::SampleBlockRequest sample_request(std::uint64_t first,
 /// A server on a fresh socket + store root, torn down with the fixture.
 class ServeTest : public ::testing::Test {
  protected:
+  /// Starts a server; one started earlier in the test is torn down first.
   void start(serve::ServerOptions options = {}) {
+    TearDown();
     scratch_ = fresh_scratch();
     options.unix_path = (scratch_ / "serve.sock").string();
     options.store_root = (scratch_ / "store").string();
@@ -505,42 +507,51 @@ TEST_F(ServeTest, SamplerCacheChargeCoversEverySamplerMatrix) {
 }
 
 TEST_F(ServeTest, ConcurrentClientsEachGetExactBits) {
-  start();
-  {
-    serve::Client warm = client();
-    serve::SolveKleRequest solve;
-    solve.config = small_config();
-    warm.solve_kle(solve);
-  }
+  // The default pool, then one worker: with more clients than workers the
+  // requests pile up in the queue and are served one at a time.
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE("num_threads = " + std::to_string(workers));
+    serve::ServerOptions options;
+    options.num_threads = workers;
+    start(options);
+    {
+      serve::Client warm = client();
+      serve::SolveKleRequest solve;
+      solve.config = small_config();
+      warm.solve_kle(solve);
+    }
 
-  constexpr int kClients = 4;
-  std::vector<linalg::Matrix> results(kClients);
-  std::vector<std::thread> threads;
-  for (int k = 0; k < kClients; ++k) {
-    threads.emplace_back([this, k, &results] {
-      serve::Client c = client();
-      // Distinct, overlapping ranges: batching may fuse these requests;
-      // each must still get exactly its own rows.
-      results[k] = c.sample_matrix(sample_request(k * 10, 20));
-    });
-  }
-  for (std::thread& t : threads) t.join();
+    constexpr int kClients = 4;
+    std::vector<linalg::Matrix> results(kClients);
+    std::vector<std::thread> threads;
+    for (int k = 0; k < kClients; ++k) {
+      threads.emplace_back([this, k, &results] {
+        serve::Client c = client();
+        // Distinct, overlapping ranges on one sampler: each client must
+        // get exactly its own rows.
+        results[k] = c.sample_matrix(sample_request(k * 10, 20));
+      });
+    }
+    for (std::thread& t : threads) t.join();
 
-  store::KleArtifactStore local(options_.store_root);
-  const serve::SampleBlockRequest proto = sample_request(0, 1);
-  const auto kernel =
-      store::make_kernel(proto.config.kernel_id, proto.config.kernel_params);
-  const store::FetchResult fetch = local.get_or_compute(proto.config, *kernel);
-  const field::KleFieldSampler sampler(*fetch.artifact, proto.r,
-                                       proto.locations);
-  for (int k = 0; k < kClients; ++k) {
-    linalg::Matrix expected;
-    sampler.sample_block({static_cast<std::uint64_t>(k) * 10, 20},
-                         proto.stream, expected);
-    EXPECT_EQ(std::memcmp(results[k].data(), expected.data(),
-                          expected.rows() * expected.cols() * sizeof(double)),
-              0)
-        << "client " << k;
+    store::KleArtifactStore local(options_.store_root);
+    const serve::SampleBlockRequest proto = sample_request(0, 1);
+    const auto kernel =
+        store::make_kernel(proto.config.kernel_id, proto.config.kernel_params);
+    const store::FetchResult fetch =
+        local.get_or_compute(proto.config, *kernel);
+    const field::KleFieldSampler sampler(*fetch.artifact, proto.r,
+                                         proto.locations);
+    for (int k = 0; k < kClients; ++k) {
+      linalg::Matrix expected;
+      sampler.sample_block({static_cast<std::uint64_t>(k) * 10, 20},
+                           proto.stream, expected);
+      EXPECT_EQ(std::memcmp(results[k].data(), expected.data(),
+                            expected.rows() * expected.cols() *
+                                sizeof(double)),
+                0)
+          << "client " << k;
+    }
   }
 }
 
@@ -572,41 +583,6 @@ TEST_F(ServeTest, ConcurrentColdSolvesDedupToOneEigensolve) {
             0u);
 }
 
-// --- batching --------------------------------------------------------------
-
-TEST_F(ServeTest, ConcurrentSampleRequestsBatch) {
-  serve::ServerOptions options;
-  options.num_threads = 1;        // one worker: arrivals pile up in the queue
-  options.batch_limit = 8;
-  options.batch_window_ms = 200;  // hold the batch open for the stragglers
-  start(options);
-  {
-    serve::Client warm = client();
-    serve::SolveKleRequest solve;
-    solve.config = small_config();
-    warm.solve_kle(solve);
-    warm.sample_block(sample_request(0, 1));  // construct + cache the sampler
-  }
-
-  const std::uint64_t batched_before =
-      obs::counter("sckl.serve.batched_requests").value();
-  constexpr int kClients = 4;
-  std::vector<std::thread> threads;
-  std::atomic<int> ok{0};
-  for (int k = 0; k < kClients; ++k) {
-    threads.emplace_back([this, k, &ok] {
-      serve::Client c = client();
-      const linalg::Matrix m = c.sample_matrix(sample_request(k * 100, 8));
-      if (m.rows() == 8) ok.fetch_add(1);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(ok.load(), kClients);
-  EXPECT_GE(obs::counter("sckl.serve.batched_requests").value(),
-            batched_before + 2)
-      << "at least one batch of >= 2 compatible requests should have formed";
-}
-
 // --- deadlines, admission control, fault sites -----------------------------
 
 TEST_F(ServeTest, ForcedDeadlineExpiryGivesTypedError) {
@@ -616,6 +592,14 @@ TEST_F(ServeTest, ForcedDeadlineExpiryGivesTypedError) {
   robust::ScopedFaultPlan plan("serve_deadline:1");
   EXPECT_EQ(code_of([&] { c.sample_block(sample_request(0, 4)); }),
             ErrorCode::kDeadlineExceeded);
+  // Expiry is checked at dequeue, before any work: the expired request
+  // looked up no sampler and solved no KLE.
+  const store::CacheStats samplers = server_->sampler_cache_stats();
+  EXPECT_EQ(samplers.hits + samplers.misses, 0u);
+  EXPECT_EQ(samplers.insertions, 0u);
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(options_.store_root))
+    EXPECT_NE(entry.path().extension().string(), ".sckl") << entry.path();
   // One-shot fault: the same request works afterwards.
   EXPECT_NO_THROW(c.sample_block(sample_request(0, 4)));
 }
