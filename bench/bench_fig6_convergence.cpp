@@ -65,8 +65,6 @@ int run(const sckl::CliFlags& flags) {
     request.r = r;
     request.num_eigenpairs = std::max<std::size_t>(2 * r, 30);
     request.mesh = &paper;
-    request.matrix_free = config.matrix_free;
-    request.aca_tolerance = config.aca_tolerance;
     const ssta::McSstaResult result = pipeline.run_kle(request).ssta;
     by_r.add_row({std::to_string(r),
                   format_double(100.0 * endpoint_error(reference, result), 3)});
@@ -85,8 +83,6 @@ int run(const sckl::CliFlags& flags) {
     request.r = std::min(r_max, mesh.num_triangles());
     request.num_eigenpairs = std::max<std::size_t>(2 * r_max, 50);
     request.mesh = &mesh;
-    request.matrix_free = config.matrix_free;
-    request.aca_tolerance = config.aca_tolerance;
     const ssta::McSstaResult result = pipeline.run_kle(request).ssta;
     by_n.add_row({std::to_string(mesh.num_triangles()),
                   format_double(100.0 * endpoint_error(reference, result), 3)});

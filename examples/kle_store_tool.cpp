@@ -2,11 +2,13 @@
 // the paper's offline/online split (Algorithm 2 consumes what this builds).
 //
 //   kle_store_tool build   --root=DIR [--kernel=gaussian] [--c=VALUE]
+//                          [--b=2 --s=2 | --rho=1]
 //                          [--mesh=paper|cross|diagonal] [--triangles=1546]
 //                          [--area-fraction=0.001] [--mesh-seed=1]
 //                          [--pairs=50] [--quadrature=1|3|7] [--force]
 //       Solves (or re-serves) the configured KLE into the repository and
-//       reports cold-vs-warm wall time.
+//       reports cold-vs-warm wall time. The KLE flags are
+//       store::parse_kle_config's, shared with `sckl_serve solve`.
 //   kle_store_tool inspect --root=DIR --key=HEX   (or: inspect FILE.sckl)
 //       Validates one artifact and prints its header, mesh size, and
 //       leading eigenvalues.
@@ -43,8 +45,6 @@
 #include "common/error.h"
 #include "obs/stopwatch.h"
 #include "core/kle_health.h"
-#include "kernels/kernel_fit.h"
-#include "kernels/kernel_library.h"
 #include "store/artifact_store.h"
 #include "store/file_lock.h"
 #include "store/recovery.h"
@@ -52,54 +52,6 @@
 namespace {
 
 using namespace sckl;
-
-std::unique_ptr<kernels::CovarianceKernel> make_kernel(const CliFlags& flags) {
-  const std::string family = flags.get_string("kernel", "gaussian");
-  const double c = flags.get_double("c", 0.0);
-  if (family == "gaussian")
-    return std::make_unique<kernels::GaussianKernel>(
-        c > 0.0 ? c : kernels::paper_gaussian_c());
-  if (family == "exponential")
-    return std::make_unique<kernels::ExponentialKernel>(c > 0.0 ? c : 1.0);
-  if (family == "separable_l1")
-    return std::make_unique<kernels::SeparableL1Kernel>(c > 0.0 ? c : 1.0);
-  if (family == "matern")
-    return std::make_unique<kernels::MaternKernel>(
-        flags.get_double("b", 2.0), flags.get_double("s", 2.0));
-  if (family == "linear_cone")
-    return std::make_unique<kernels::LinearConeKernel>(
-        flags.get_double("rho", 1.0));
-  throw Error("unknown --kernel family '" + family +
-              "' (gaussian, exponential, separable_l1, matern, linear_cone)");
-}
-
-store::KleArtifactConfig make_config(const CliFlags& flags,
-                                     const kernels::CovarianceKernel& kernel) {
-  store::KleArtifactConfig config;
-  store::describe_kernel(kernel, config.kernel_id, config.kernel_params);
-  const std::string mesh = flags.get_string("mesh", "cross");
-  if (mesh == "paper") {
-    config.mesh.kind = store::MeshSpec::Kind::kPaperRefined;
-  } else if (mesh == "cross") {
-    config.mesh.kind = store::MeshSpec::Kind::kStructuredCross;
-  } else if (mesh == "diagonal") {
-    config.mesh.kind = store::MeshSpec::Kind::kStructuredDiagonal;
-  } else {
-    throw Error("unknown --mesh '" + mesh + "' (paper, cross, diagonal)");
-  }
-  config.mesh.target_triangles = flags.get_size("triangles", 1546);
-  config.mesh.area_fraction = flags.get_double("area-fraction", 0.001);
-  config.mesh.mesher_seed =
-      static_cast<std::uint64_t>(flags.get_int("mesh-seed", 1));
-  const long quadrature = flags.get_int("quadrature", 1);
-  require(quadrature == 1 || quadrature == 3 || quadrature == 7,
-          "--quadrature must be 1, 3 or 7");
-  config.quadrature = quadrature == 7   ? core::QuadratureRule::kSymmetric7
-                      : quadrature == 3 ? core::QuadratureRule::kSymmetric3
-                                        : core::QuadratureRule::kCentroid1;
-  config.num_eigenpairs = flags.get_size("pairs", 50);
-  return config;
-}
 
 void print_artifact(const store::KleArtifactConfig& config,
                     const core::KleResult& kle) {
@@ -146,8 +98,9 @@ void validate_artifact(const CliFlags& flags, const core::KleResult& kle) {
 }
 
 int cmd_build(const CliFlags& flags, const std::string& root) {
-  const auto kernel = make_kernel(flags);
-  const store::KleArtifactConfig config = make_config(flags, *kernel);
+  const store::KleArtifactConfig config = store::parse_kle_config(flags);
+  const auto kernel =
+      store::make_kernel(config.kernel_id, config.kernel_params);
   store::KleArtifactStore store(root);
   if (flags.get_bool("force", false)) {
     std::error_code ec;

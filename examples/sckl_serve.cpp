@@ -12,10 +12,10 @@
 //       Hello round-trip; prints the server identification.
 //   sckl_serve stats    --socket=PATH | --port=P
 //       Prints the server's sckl-serve-stats-v1 JSON document.
-//   sckl_serve solve    --socket=PATH | --port=P [--kernel=gaussian]
-//                       [--c=VALUE] [--pairs=50] [--area-fraction=0.001]
-//                       [--mesh-seed=8]
+//   sckl_serve solve    --socket=PATH | --port=P [KLE flags]
 //       Asks the server to solve (or re-serve) one KLE; prints provenance.
+//       The KLE flags are kle_store_tool build's (store::parse_kle_config),
+//       so both tools name the same artifact key for the same flags.
 //   sckl_serve work     --socket=PATH | --port=P --run-id=NAME
 //                       [--worker-id=N] [--max-leases=1] [--poll-ms=200]
 //                       [--rpc-timeout-ms=5000] [--max-runtime=0]
@@ -34,7 +34,6 @@
 
 #include "common/cli.h"
 #include "common/error.h"
-#include "kernels/kernel_fit.h"
 #include "obs/export.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
@@ -62,19 +61,6 @@ serve::Client connect(const CliFlags& flags) {
         get_bounded<std::uint16_t>(flags, "port", 0));
   return serve::Client::connect_unix(
       flags.get_string("socket", "/tmp/sckl_serve.sock"));
-}
-
-store::KleArtifactConfig solve_config(const CliFlags& flags) {
-  store::KleArtifactConfig config;
-  config.kernel_id = flags.get_string("kernel", "gaussian");
-  const double c = flags.get_double("c", 0.0);
-  config.kernel_params = {c > 0.0 ? c : kernels::paper_gaussian_c()};
-  config.mesh.kind = store::MeshSpec::Kind::kPaperRefined;
-  config.mesh.area_fraction = flags.get_double("area-fraction", 0.001);
-  config.mesh.mesher_seed =
-      static_cast<std::uint64_t>(flags.get_int("mesh-seed", 8));
-  config.num_eigenpairs = flags.get_size("pairs", 50);
-  return config;
 }
 
 int cmd_serve(const CliFlags& flags) {
@@ -125,7 +111,7 @@ int cmd_stats(const CliFlags& flags) {
 
 int cmd_solve(const CliFlags& flags) {
   serve::SolveKleRequest request;
-  request.config = solve_config(flags);
+  request.config = store::parse_kle_config(flags);
   serve::Client client = connect(flags);
   const serve::SolveKleReply reply = client.solve_kle(request);
   std::printf("solve: key=%s source=%s wall=%.4fs triangles=%llu "

@@ -55,7 +55,6 @@ int run(const sckl::CliFlags& flags) {
   // put it at ~3%.
   config.num_samples = 1000;
   ssta::add_experiment_flags(flags, config);
-  const bool validate = config.validate_kle || config.strict;
 
   ssta::ExperimentPipeline pipeline(config);
   const timing::StaEngine& engine = pipeline.engine();
@@ -83,11 +82,8 @@ int run(const sckl::CliFlags& flags) {
   request.r = config.r;
   request.num_eigenpairs =
       ssta::num_eigenpairs_for(config.r, config.num_eigenpairs);
-  request.validate = validate;
   request.run_id = config.run_id;
   request.resume = config.resume;
-  request.matrix_free = config.matrix_free;
-  request.aca_tolerance = config.aca_tolerance;
   std::unique_ptr<store::KleArtifactStore> store;
   std::unique_ptr<mesh::TriMesh> owned_mesh;
   if (!config.store_root.empty()) {
@@ -120,7 +116,7 @@ int run(const sckl::CliFlags& flags) {
   if (outcome.info.out_of_mesh_gates > 0)
     std::printf("out-of-mesh gates: %zu resolved to the nearest triangle\n",
                 outcome.info.out_of_mesh_gates);
-  if (validate) {
+  if (outcome.info.validated) {
     const robust::HealthReport health = ssta::fold_kle_health(outcome.info);
     std::printf("KLE health (worst: %s):\n%s", to_string(health.worst()),
                 health.to_string().c_str());

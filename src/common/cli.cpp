@@ -74,7 +74,6 @@ void ExperimentFlagSet::apply(const CliFlags& flags) {
   store_root = flags.get_string("store", store_root);
   validate = flags.get_bool("validate", validate);
   strict = flags.get_bool("strict", strict);
-  fsck = flags.get_bool("fsck", fsck);
   run_id = flags.get_string("run-id", run_id);
   resume = flags.get_bool("resume", resume);
   matrix_free = flags.get_bool("matrix-free", matrix_free);

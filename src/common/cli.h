@@ -51,7 +51,7 @@ class CliFlags {
 /// kle_store_tool, bench_table1_ssta, bench_fig6_convergence):
 ///
 ///   --circuit=NAME  --samples=N  --r=N  --seed=N  --threads=K
-///   --block-samples=N  --store=DIR  --validate  --strict  --fsck
+///   --block-samples=N  --store=DIR  --validate  --strict
 ///   --run-id=NAME   --resume
 ///   --matrix-free   --aca-tol=EPS
 ///   --trace         --trace-json=PATH
@@ -78,7 +78,6 @@ struct ExperimentFlagSet {
   std::string store_root;  // empty = no artifact store
   bool validate = false;
   bool strict = false;  // implies validate at the consumer
-  bool fsck = false;    // run store crash recovery on open
   /// Checkpointed Monte Carlo (ssta/mc_run.h): a non-empty run_id selects
   /// the crash-safe runner, writing the run ledger under <store>/mc_runs
   /// (requires --store). resume continues a ledger that already holds

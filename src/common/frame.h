@@ -30,12 +30,15 @@ namespace sckl::wire {
 inline constexpr std::uint32_t kFrameMagic = 0x464B4353u;
 
 /// Version of the serve wire protocol (header + payload schemas).
+/// v4: the ClaimLeases reply carries the coordinator's RunSsta request (m
+/// resolved) and the run's ledger header through their own codecs, in
+/// place of field-by-field copies of both; every other message is as in v3.
 /// v3: distributed Monte Carlo — ClaimLeases / PublishPartial / Heartbeat /
 /// RunStatus message types, and RunSsta gained distributed / mc_block_size /
 /// mc_lease_blocks in the request.
 /// v2: RunSsta gained run_id/resume in the request and the tail quantiles
 /// (p99, p99.9) + resumed_leases in the reply.
-inline constexpr std::uint32_t kProtocolVersion = 3;
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /// Fixed size of the encoded header (magic through payload size).
 inline constexpr std::size_t kFrameHeaderBytes = 32;

@@ -235,7 +235,9 @@ int run_tool(const char* tool, const CliFlags& flags,
     const ExperimentFlagSet shared = parse_experiment_flags(flags);
     const TraceSession session(shared.trace, shared.trace_json);
     return body();
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
+    // sckl::Error and anything else (std::bad_alloc from an oversized
+    // solve, ...): a message and exit 1, never an abort.
     std::fprintf(stderr, "%s: %s\n", tool, e.what());
     return 1;
   }

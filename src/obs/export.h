@@ -66,8 +66,9 @@ class TraceSession {
 
 /// The main() of a command-line tool: parses the shared experiment flags,
 /// keeps a TraceSession open while `body` runs (so every span closes before
-/// the export), and turns an sckl::Error from either into
-/// "<tool>: <message>" on stderr and exit status 1.
+/// the export), and turns any std::exception from either (an sckl::Error,
+/// a std::bad_alloc, ...) into "<tool>: <message>" on stderr and exit
+/// status 1.
 int run_tool(const char* tool, const CliFlags& flags,
              const std::function<int()>& body);
 

@@ -54,7 +54,7 @@ class Client {
   linalg::Matrix sample_matrix(const SampleBlockRequest& request);
   RunSstaReply run_ssta(const RunSstaRequest& request);
   StatsReply stats();
-  /// Distributed Monte Carlo worker RPCs (protocol v3; see DESIGN.md §12).
+  /// Distributed Monte Carlo worker RPCs (see DESIGN.md §12).
   ClaimLeasesReply claim_leases(const ClaimLeasesRequest& request);
   PublishPartialReply publish_partial(const PublishPartialRequest& request);
   HeartbeatReply heartbeat(const HeartbeatRequest& request);

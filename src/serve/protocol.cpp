@@ -99,6 +99,21 @@ void encode(std::vector<std::uint8_t>& out, const RunSstaRequest& request) {
   put_u64(out, request.mc_lease_blocks);
 }
 
+ssta::ExperimentConfig experiment_config(const RunSstaRequest& request) {
+  ssta::ExperimentConfig config;
+  config.circuit = request.circuit;
+  config.num_samples = static_cast<std::size_t>(request.num_samples);
+  config.r = static_cast<std::size_t>(request.r);
+  config.num_eigenpairs = static_cast<std::size_t>(request.num_eigenpairs);
+  config.mesh_area_fraction = request.mesh_area_fraction;
+  config.kernel_c = request.kernel_c;
+  config.seed = request.seed;
+  config.num_threads = static_cast<std::size_t>(request.num_threads);
+  config.mc_block_size = static_cast<std::size_t>(request.mc_block_size);
+  config.mc_lease_blocks = static_cast<std::size_t>(request.mc_lease_blocks);
+  return config;
+}
+
 RunSstaRequest decode_run_ssta_request(wire::ByteReader& r) {
   RunSstaRequest request;
   request.circuit = r.string();
@@ -254,19 +269,8 @@ std::vector<std::uint8_t> encode_reply(const ClaimLeasesReply& reply) {
   std::vector<std::uint8_t> out = make_ok_reply();
   put_u8(out, static_cast<std::uint8_t>(reply.run_state));
   if (reply.run_state != RunState::kRunning) return out;
-  put_u64(out, reply.config_hash);
-  put_string(out, reply.circuit);
-  put_u64(out, reply.seed);
-  put_u64(out, reply.r);
-  put_u64(out, reply.num_eigenpairs);
-  put_f64(out, reply.mesh_area_fraction);
-  put_f64(out, reply.kernel_c);
-  put_u64(out, reply.num_samples);
-  put_u64(out, reply.block_size);
-  put_u64(out, reply.lease_blocks);
-  put_u64(out, reply.mc_seed);
-  put_u64(out, reply.sketch_capacity);
-  put_u64(out, reply.num_endpoints);
+  encode(out, reply.workload);
+  reply.geometry.encode(out);
   put_u64(out, reply.lease_ttl_ms);
   put_u64(out, reply.heartbeat_interval_ms);
   put_u64(out, reply.leases.size());
@@ -393,19 +397,11 @@ ClaimLeasesReply decode_claim_leases_reply(wire::ByteReader& r) {
   ClaimLeasesReply reply;
   reply.run_state = decode_run_state(r);
   if (reply.run_state != RunState::kRunning) return reply;
-  reply.config_hash = r.u64();
-  reply.circuit = r.string();
-  reply.seed = r.u64();
-  reply.r = r.u64();
-  reply.num_eigenpairs = r.u64();
-  reply.mesh_area_fraction = r.f64();
-  reply.kernel_c = r.f64();
-  reply.num_samples = r.u64();
-  reply.block_size = r.u64();
-  reply.lease_blocks = r.u64();
-  reply.mc_seed = r.u64();
-  reply.sketch_capacity = r.u64();
-  reply.num_endpoints = r.u64();
+  reply.workload = decode_run_ssta_request(r);
+  if (r.u8() != ssta::kLedgerHeaderTag)
+    throw Error("serve: claim_leases reply has no ledger header",
+                ErrorCode::kProtocol);
+  reply.geometry = ssta::LedgerHeader::decode(r);
   reply.lease_ttl_ms = r.u64();
   reply.heartbeat_interval_ms = r.u64();
   const std::uint64_t count = r.u64();

@@ -1,4 +1,4 @@
-// Message schemas of the sckl_serve wire protocol (version 3).
+// Message schemas of the sckl_serve wire protocol (version 4).
 //
 // Transport: every message is one frame (common/frame.h — "SCKF" magic,
 // version, type, deadline, request id, payload, CRC). This header defines
@@ -32,19 +32,20 @@
 //   kStats        -> (empty)            <- string JSON (sckl-serve-stats-v1)
 //   kShutdown     -> (empty)            <- (empty); server then drains
 //
-// Distributed Monte Carlo (v3): a coordinator-side RunSsta with
-// distributed=1 registers the run's live lease table; remote workers then
-// drive it with the four messages below (see DESIGN.md §12 for the flow).
+// Distributed Monte Carlo: a coordinator-side RunSsta with distributed=1
+// registers the run's live lease table; remote workers then drive it with
+// the four messages below (see DESIGN.md §12 for the flow).
 //   kClaimLeases  -> string run_id, u64 worker_id, u64 config_hash
 //                    (0 = unknown yet), u64 max_leases
 //                 <- u8 run_state (0 unknown / 1 running / 2 complete);
-//                    when running: u64 config_hash, workload spec (string
-//                    circuit, u64 seed, u64 r, u64 eigenpairs, f64
-//                    mesh_area_fraction, f64 kernel_c), sampling geometry
-//                    (u64 num_samples/block_size/lease_blocks/mc_seed/
-//                    sketch_capacity/num_endpoints), u64 lease_ttl_ms, u64
-//                    heartbeat_interval_ms, then u64 count leases of
-//                    (u64 index, u64 first_block, u64 num_blocks)
+//                    when running (v4): the coordinator's RunSsta request
+//                    with m resolved (kRunSsta's request layout above), the
+//                    run's ledger header (u8 tag 1, u64 workload_key =
+//                    config_hash, num_samples, block_size, lease_blocks,
+//                    mc seed, sketch_capacity, num_endpoints), u64
+//                    lease_ttl_ms, u64 heartbeat_interval_ms, then u64
+//                    count leases of (u64 index, u64 first_block, u64
+//                    num_blocks)
 //   kPublishPartial -> string run_id, u64 worker_id, u64 config_hash,
 //                    u64 lease index/first_block/num_blocks, blob partial
 //                    (ssta BlockPartial codec)
@@ -70,6 +71,8 @@
 #include "common/wire.h"
 #include "field/field_sampler.h"
 #include "geometry/point2.h"
+#include "ssta/experiment.h"
+#include "ssta/lease_ledger.h"
 #include "store/key_hash.h"
 
 namespace sckl::serve {
@@ -142,10 +145,17 @@ struct RunSstaRequest {
   std::uint64_t mc_lease_blocks = 0;
 };
 
+/// The ExperimentConfig a RunSsta request describes. The coordinator's
+/// handler and a remote worker both build their pipeline from it, so the
+/// two cannot build different pipelines for one run. Settings the request
+/// does not carry (store root, lease TTL, ...) keep their defaults.
+ssta::ExperimentConfig experiment_config(const RunSstaRequest& request);
+
 /// ClaimLeases: a worker asks the coordinator daemon for up to max_leases
 /// available leases of run_id. config_hash 0 means "not known yet" (the
 /// first claim, before the worker has built its pipeline) — the reply's
-/// spec + config_hash let it build one; any later mismatch is kPrecondition.
+/// workload and geometry let it build one; any later mismatch is
+/// kPrecondition.
 struct ClaimLeasesRequest {
   std::string run_id;
   std::uint64_t worker_id = 0;
@@ -163,27 +173,16 @@ struct WireLease {
 struct ClaimLeasesReply {
   RunState run_state = RunState::kUnknown;
   // Everything below is only present (and only encoded) when kRunning.
-  std::uint64_t config_hash = 0;
-  // Workload spec — enough for a worker to rebuild the pipeline.
-  std::string circuit;
-  std::uint64_t seed = 0;              // ExperimentConfig seed (not MC seed)
-  std::uint64_t r = 0;
-  std::uint64_t num_eigenpairs = 0;    // resolved m, never 0
-  double mesh_area_fraction = 0.0;
-  double kernel_c = 0.0;               // coordinator's config value verbatim
-                                       // (0 = the paper's fit); part of the
-                                       // workload hash, so never re-derived
-  // Sampling geometry, verbatim from the run's LedgerHeader. Workers use
-  // these values directly — re-deriving any of them risks bit divergence.
-  std::uint64_t num_samples = 0;
-  std::uint64_t block_size = 0;
-  std::uint64_t lease_blocks = 0;
-  std::uint64_t mc_seed = 0;
-  std::uint64_t sketch_capacity = 0;
-  std::uint64_t num_endpoints = 0;
+  /// The coordinator's own RunSsta request, with num_eigenpairs resolved:
+  /// a worker builds its pipeline from experiment_config(workload).
+  RunSstaRequest workload;
+  /// The run's ledger header, verbatim: the sampling geometry a worker
+  /// uses as is (re-deriving any of it risks bit divergence), and the
+  /// workload key, which is the run's config_hash.
+  ssta::LedgerHeader geometry;
   std::uint64_t lease_ttl_ms = 0;
   std::uint64_t heartbeat_interval_ms = 0;
-  std::vector<WireLease> leases;       // may be empty: nothing claimable now
+  std::vector<WireLease> leases;  // may be empty: nothing claimable now
 };
 
 struct PublishPartialRequest {

@@ -62,10 +62,7 @@ Server::Server(const ServerOptions& options)
           "Server: heartbeat_interval_ms must be positive and less than "
           "lease_ttl_ms / 3 (a worker needs several heartbeat opportunities "
           "per lease lifetime)");
-  store::StoreOptions store_options;
-  store_options.cache_bytes = options_.store_cache_bytes;
-  store_ = std::make_unique<store::KleArtifactStore>(options_.store_root,
-                                                     store_options);
+  store_ = std::make_unique<store::KleArtifactStore>(options_.store_root);
 }
 
 Server::~Server() { stop(); }
@@ -441,7 +438,7 @@ void Server::execute(Request& request) {
     switch (request.type) {
       case MessageType::kHello: {
         HelloReply reply;
-        reply.server = options_.server_name;
+        reply.server = kServerName;
         send_payload(request, encode_reply(reply), /*is_error=*/false);
         break;
       }
@@ -566,25 +563,20 @@ std::shared_ptr<const field::KleFieldSampler> Server::sampler_for(
   return sampler;
 }
 
-RunSstaReply Server::do_run_ssta(const RunSstaRequest& request,
+RunSstaReply Server::do_run_ssta(RunSstaRequest request,
                                  const Request& envelope) {
-  ssta::ExperimentConfig config;
-  config.circuit = request.circuit;
-  config.num_samples = static_cast<std::size_t>(request.num_samples);
-  config.r = static_cast<std::size_t>(request.r);
-  config.num_eigenpairs = static_cast<std::size_t>(request.num_eigenpairs);
-  config.mesh_area_fraction = request.mesh_area_fraction;
-  config.kernel_c = request.kernel_c;
-  config.seed = request.seed;
-  config.num_threads = static_cast<std::size_t>(request.num_threads);
-  config.store_root = options_.store_root;
-  config.lease_ttl_ms = options_.lease_ttl_ms;
-  config.mc_block_size = static_cast<std::size_t>(request.mc_block_size);
-  config.mc_lease_blocks = static_cast<std::size_t>(request.mc_lease_blocks);
   if (request.distributed && request.run_id.empty())
     throw Error("run_ssta: distributed=1 requires a run_id (the lease table "
                 "is registered and resumed under it)",
                 ErrorCode::kPrecondition);
+  // m is resolved into the request itself: a distributed run hands this
+  // request to its workers, which must solve the same KLE.
+  request.num_eigenpairs = ssta::num_eigenpairs_for(
+      static_cast<std::size_t>(request.r),
+      static_cast<std::size_t>(request.num_eigenpairs));
+  ssta::ExperimentConfig config = experiment_config(request);
+  config.store_root = options_.store_root;
+  config.lease_ttl_ms = options_.lease_ttl_ms;
 
   // One pipeline (netlist, placement, STA engine) per distinct construction
   // config, shared across requests; run_kle calls are serialized per entry.
@@ -608,16 +600,13 @@ RunSstaReply Server::do_run_ssta(const RunSstaRequest& request,
     entry = slot;
   }
 
-  const std::size_t m =
-      ssta::num_eigenpairs_for(config.r, config.num_eigenpairs);
-
   std::lock_guard<std::mutex> entry_lock(entry->mu);
   if (!entry->pipeline)
     entry->pipeline = std::make_unique<ssta::ExperimentPipeline>(config);
 
   ssta::KleRunRequest run;
   run.r = config.r;
-  run.num_eigenpairs = m;
+  run.num_eigenpairs = config.num_eigenpairs;
   run.store = store_.get();
   run.run_id = request.run_id;
   run.resume = request.resume;
@@ -633,28 +622,23 @@ RunSstaReply Server::do_run_ssta(const RunSstaRequest& request,
     // destroyed (also on the exception path). Unregistration keeps the
     // entry, flipped to the terminal state, so late workers observe
     // kComplete rather than kUnknown.
-    run.share_coordinator = [this, run_id = request.run_id, config, m](
+    run.share_coordinator = [this, request](
                                 ssta::LeaseCoordinator* coordinator,
                                 const ssta::LedgerHeader* header) {
       if (coordinator != nullptr && header != nullptr) {
         auto dist = std::make_shared<DistRun>();
         dist->coordinator = coordinator;
+        dist->request = request;
         dist->header = *header;
-        dist->config_hash = header->workload_key;
-        dist->circuit = config.circuit;
-        dist->seed = config.seed;
-        dist->r = config.r;
-        dist->num_eigenpairs = m;
-        dist->mesh_area_fraction = config.mesh_area_fraction;
-        dist->kernel_c = config.kernel_c;
         std::lock_guard<std::mutex> lock(dist_mu_);
-        dist_runs_[run_id] = dist;  // a resumed run replaces its old entry
+        // A resumed run replaces its old entry.
+        dist_runs_[request.run_id] = dist;
         obs::counter("sckl.ssta.mc.remote.runs_registered").add(1);
       } else {
         std::shared_ptr<DistRun> dist;
         {
           std::lock_guard<std::mutex> lock(dist_mu_);
-          const auto it = dist_runs_.find(run_id);
+          const auto it = dist_runs_.find(request.run_id);
           if (it != dist_runs_.end()) dist = it->second;
         }
         if (dist) {
@@ -696,10 +680,10 @@ std::shared_ptr<Server::DistRun> Server::find_dist_run(
 }
 
 void Server::check_config_hash(const DistRun& run, std::uint64_t claimed) {
-  if (claimed != 0 && claimed != run.config_hash)
+  if (claimed != 0 && claimed != run.header.workload_key)
     throw Error("distributed mc: worker config_hash " +
                     std::to_string(claimed) + " does not match this run's " +
-                    std::to_string(run.config_hash) +
+                    std::to_string(run.header.workload_key) +
                     " — the worker is computing a different workload and "
                     "its partials must never reach the ledger",
                 ErrorCode::kPrecondition);
@@ -720,19 +704,8 @@ ClaimLeasesReply Server::do_claim_leases(const ClaimLeasesRequest& request) {
     return reply;
   }
   reply.run_state = RunState::kRunning;
-  reply.config_hash = run->config_hash;
-  reply.circuit = run->circuit;
-  reply.seed = run->seed;
-  reply.r = run->r;
-  reply.num_eigenpairs = run->num_eigenpairs;
-  reply.mesh_area_fraction = run->mesh_area_fraction;
-  reply.kernel_c = run->kernel_c;
-  reply.num_samples = run->header.num_samples;
-  reply.block_size = run->header.block_size;
-  reply.lease_blocks = run->header.lease_blocks;
-  reply.mc_seed = run->header.seed;
-  reply.sketch_capacity = run->header.sketch_capacity;
-  reply.num_endpoints = run->header.num_endpoints;
+  reply.workload = run->request;
+  reply.geometry = run->header;
   reply.lease_ttl_ms = options_.lease_ttl_ms;
   reply.heartbeat_interval_ms = options_.heartbeat_interval_ms;
   const std::size_t max_leases =
@@ -802,7 +775,7 @@ RunStatusReply Server::do_run_status(const RunStatusRequest& request) {
   const std::shared_ptr<DistRun> run = find_dist_run(request.run_id);
   if (!run) return reply;  // kUnknown
   std::lock_guard<std::mutex> lock(run->mu);
-  reply.config_hash = run->config_hash;
+  reply.config_hash = run->header.workload_key;
   const std::uint64_t blocks =
       run->header.block_size == 0
           ? 0

@@ -75,6 +75,9 @@
 
 namespace sckl::serve {
 
+/// Identification string every Server returns in its Hello reply.
+inline constexpr const char* kServerName = "sckl_serve/1";
+
 /// Tuning knobs of one Server.
 struct ServerOptions {
   /// Unix-domain socket path to listen on; empty = no unix listener.
@@ -84,9 +87,9 @@ struct ServerOptions {
   bool tcp = false;
   std::uint16_t tcp_port = 0;
 
-  /// Root of the process-wide artifact store (required).
+  /// Root of the process-wide artifact store (required). The store keeps
+  /// its default in-memory cache budget (store::StoreOptions).
   std::string store_root;
-  std::size_t store_cache_bytes = std::size_t{256} << 20;
 
   /// Worker threads executing requests: 0 = auto (SCKL_THREADS / cores).
   std::size_t num_threads = 0;
@@ -116,10 +119,8 @@ struct ServerOptions {
 
   /// Graceful-shutdown budget for draining queued + in-flight requests.
   int drain_ms = 2000;
-  /// Identification string returned by Hello.
-  std::string server_name = "sckl_serve/1";
 
-  /// Distributed Monte Carlo (v3): lease time-to-live handed to remote
+  /// Distributed Monte Carlo: lease time-to-live handed to remote
   /// workers, and the heartbeat cadence the ClaimLeases reply advertises.
   /// The constructor enforces heartbeat_interval_ms * 3 < lease_ttl_ms so a
   /// healthy worker always gets at least two extension opportunities before
@@ -219,19 +220,13 @@ class Server {
   /// coordinator is destroyed — a claim/publish/heartbeat handler holding
   /// the shared_ptr either sees a live pointer and finishes before the
   /// unregister can proceed, or sees nullptr and answers from the terminal
-  /// state. The spec fields are copies, valid for the entry's lifetime.
+  /// state. `request` and `header` are what a ClaimLeases reply sends a
+  /// worker, valid for the entry's lifetime.
   struct DistRun {
     std::mutex mu;
     ssta::LeaseCoordinator* coordinator = nullptr;
-    ssta::LedgerHeader header;      // sampling geometry, verbatim
-    std::uint64_t config_hash = 0;  // == header.workload_key
-    // Workload spec a worker needs to rebuild the pipeline.
-    std::string circuit;
-    std::uint64_t seed = 0;           // ExperimentConfig seed
-    std::uint64_t r = 0;
-    std::uint64_t num_eigenpairs = 0;  // resolved m
-    double mesh_area_fraction = 0.0;
-    double kernel_c = 0.0;
+    RunSstaRequest request;     // the coordinator's request, m resolved
+    ssta::LedgerHeader header;  // geometry; workload_key is the config hash
     bool complete = false;  // coordinator finished and unregistered
   };
 
@@ -250,8 +245,7 @@ class Server {
   /// Generates a SampleBlock reply chunk by chunk and sends it.
   void do_sample_block(const Request& request);
   SolveKleReply do_solve(const SolveKleRequest& request);
-  RunSstaReply do_run_ssta(const RunSstaRequest& request,
-                           const Request& envelope);
+  RunSstaReply do_run_ssta(RunSstaRequest request, const Request& envelope);
   ClaimLeasesReply do_claim_leases(const ClaimLeasesRequest& request);
   PublishPartialReply do_publish_partial(const PublishPartialRequest& request);
   HeartbeatReply do_heartbeat(const HeartbeatRequest& request);

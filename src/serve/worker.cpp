@@ -98,39 +98,35 @@ struct Session {
   }
 };
 
-/// Builds the workload from a kRunning ClaimLeases reply. Every value is
-/// used verbatim — re-deriving any of them (the MC seed, the resolved
-/// eigenpair count...) risks silently computing different bits than the
-/// coordinator.
+/// Builds the workload from a kRunning ClaimLeases reply: the pipeline
+/// from the coordinator's own RunSsta request, through the same
+/// experiment_config the coordinator used, and the sampling geometry
+/// verbatim from the run's ledger header. Re-deriving any value (the MC
+/// seed, the resolved eigenpair count...) risks silently computing
+/// different bits than the coordinator.
 Workload build_workload(Session& session, const ClaimLeasesReply& spec) {
+  const RunSstaRequest& request = spec.workload;
+  const ssta::LedgerHeader& geometry = spec.geometry;
   Workload w;
-  w.config_hash = spec.config_hash;
+  w.config_hash = geometry.workload_key;
   w.lease_ttl_ms = spec.lease_ttl_ms;
   w.heartbeat_interval_ms = spec.heartbeat_interval_ms;
-
-  ssta::ExperimentConfig config;
-  config.circuit = spec.circuit;
-  config.seed = spec.seed;
-  config.r = static_cast<std::size_t>(spec.r);
-  config.num_eigenpairs = static_cast<std::size_t>(spec.num_eigenpairs);
-  config.mesh_area_fraction = spec.mesh_area_fraction;
-  config.kernel_c = spec.kernel_c;
-  config.num_samples = static_cast<std::size_t>(spec.num_samples);
-  w.pipeline = std::make_unique<ssta::ExperimentPipeline>(config);
+  w.pipeline =
+      std::make_unique<ssta::ExperimentPipeline>(experiment_config(request));
 
   // The KLE comes over the wire (want_artifact), not from a shared
   // filesystem: the worker may be on another machine entirely.
   SolveKleRequest solve;
-  solve.config =
-      w.pipeline->artifact_config(static_cast<std::size_t>(spec.num_eigenpairs));
+  solve.config = w.pipeline->artifact_config(
+      static_cast<std::size_t>(request.num_eigenpairs));
   solve.want_artifact = true;
   const SolveKleReply solved =
       session.rpc([&](Client& c) { return c.solve_kle(solve); });
   w.sampler = std::make_unique<field::KleFieldSampler>(
-      store::decode_kle(solved.artifact).kle, static_cast<std::size_t>(spec.r),
-      w.pipeline->gate_locations());
+      store::decode_kle(solved.artifact).kle,
+      static_cast<std::size_t>(request.r), w.pipeline->gate_locations());
 
-  w.num_endpoints = static_cast<std::size_t>(spec.num_endpoints);
+  w.num_endpoints = static_cast<std::size_t>(geometry.num_endpoints);
   if (w.pipeline->engine().num_endpoints() != w.num_endpoints)
     throw Error("mc worker: rebuilt pipeline has " +
                     std::to_string(w.pipeline->engine().num_endpoints()) +
@@ -139,10 +135,10 @@ Workload build_workload(Session& session, const ClaimLeasesReply& spec) {
                     " — the workload spec did not reproduce the circuit",
                 ErrorCode::kPrecondition);
 
-  w.mc.num_samples = static_cast<std::size_t>(spec.num_samples);
-  w.mc.block_size = static_cast<std::size_t>(spec.block_size);
-  w.mc.seed = spec.mc_seed;
-  w.mc.sketch_capacity = static_cast<std::size_t>(spec.sketch_capacity);
+  w.mc.num_samples = static_cast<std::size_t>(geometry.num_samples);
+  w.mc.block_size = static_cast<std::size_t>(geometry.block_size);
+  w.mc.seed = geometry.seed;
+  w.mc.sketch_capacity = static_cast<std::size_t>(geometry.sketch_capacity);
   w.mc.num_threads = 1;
   return w;
 }

@@ -1,18 +1,18 @@
 // Remote Monte Carlo worker: the claim/compute/publish half of the
-// distributed checkpointed runner (protocol v3, DESIGN.md §12).
+// distributed checkpointed runner (protocol v4, DESIGN.md §12).
 //
 // A worker is stateless by design. Everything it needs to compute a lease
-// arrives in the ClaimLeases reply: the workload spec (circuit, seed, r,
-// eigenpairs, mesh/kernel parameters — enough to rebuild the exact
-// ExperimentPipeline the coordinator runs) and the sampling geometry
-// (num_samples, block_size, mc seed, sketch capacity), taken verbatim from
-// the run's LedgerHeader. The KLE itself is fetched through the ordinary
-// kSolveKle message (want_artifact), so the worker never touches the
-// coordinator's filesystem. Because every sample is a pure function of
-// (seed, parameter, global index), the partial a worker publishes is bit
-// for bit the partial the coordinator would have computed locally — which
-// is why kills, reclaims, and duplicated publishes cannot change the final
-// statistics.
+// arrives in the ClaimLeases reply: the coordinator's own RunSsta request
+// with m resolved, from which experiment_config() rebuilds the exact
+// ExperimentPipeline the coordinator runs, and the run's LedgerHeader,
+// whose sampling geometry (num_samples, block_size, mc seed, sketch
+// capacity) the worker uses verbatim. The KLE itself is fetched through
+// the ordinary kSolveKle message (want_artifact), so the worker never
+// touches the coordinator's filesystem. Because every sample is a pure
+// function of (seed, parameter, global index), the partial a worker
+// publishes is bit for bit the partial the coordinator would have computed
+// locally — which is why kills, reclaims, and duplicated publishes cannot
+// change the final statistics.
 //
 // Failure behaviour:
 //   - Every RPC runs under a bounded, jittered retry (robust/retry.h) that

@@ -159,10 +159,10 @@ KleRunOutcome ExperimentPipeline::run_kle(const KleRunRequest& request) {
     core::KleOptions kle_options;
     kle_options.num_eigenpairs = std::min<std::size_t>(
         request.num_eigenpairs, request.mesh->num_triangles());
-    if (request.matrix_free) {
+    if (config_.matrix_free) {
       kle_options.operator_mode = core::OperatorMode::kMatrixFree;
-      if (request.aca_tolerance > 0.0)
-        kle_options.matfree.aca_tolerance = request.aca_tolerance;
+      if (config_.aca_tolerance > 0.0)
+        kle_options.matfree.aca_tolerance = config_.aca_tolerance;
       kle_options.matfree.num_threads = config_.num_threads;
     }
     kle = std::make_shared<const core::KleResult>(core::solve_kle(
@@ -171,7 +171,7 @@ KleRunOutcome ExperimentPipeline::run_kle(const KleRunRequest& request) {
   const auto sampler =
       std::make_unique<field::KleFieldSampler>(*kle, request.r, locations_);
   outcome.mesh_triangles = kle->basis_size();
-  if (request.validate) {
+  if (config_.validate_kle || config_.strict) {
     outcome.info.validated = true;
     outcome.info.health = core::check_kle_health(*kle);
   }
@@ -234,9 +234,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   KleRunRequest request;
   request.r = config.r;
   request.num_eigenpairs = num_eigenpairs_for(config.r, config.num_eigenpairs);
-  request.validate = config.validate_kle || config.strict;
-  request.matrix_free = config.matrix_free;
-  request.aca_tolerance = config.aca_tolerance;
   request.run_id = config.run_id;
   request.resume = config.resume;
 
@@ -259,7 +256,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   result.out_of_mesh_gates = outcome.info.out_of_mesh_gates;
   if (outcome.info.solve.fallback)
     result.kle_fallback_reason = outcome.info.solve.fallback_reason;
-  if (request.validate) {
+  if (outcome.info.validated) {
     const robust::HealthReport report = fold_kle_health(outcome.info);
     result.health_ok = report.ok();
     result.health_summary = report.to_string();

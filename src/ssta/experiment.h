@@ -151,20 +151,18 @@ struct KleRunInfo {
 /// whole resilience story and strict mode can escalate all of it at once.
 robust::HealthReport fold_kle_health(const KleRunInfo& info);
 
-/// What to run for one Algorithm 2 (reduced-dimension) SSTA pass. Exactly
-/// one KLE provenance must be set: a mesh to solve fresh on, or an artifact
-/// store to fetch through (solving only on a cold miss).
+/// What to run for one Algorithm 2 (reduced-dimension) SSTA pass: what may
+/// vary between passes on one pipeline. Exactly one KLE provenance must be
+/// set: a mesh to solve fresh on, or an artifact store to fetch through
+/// (solving only on a cold miss). The solve settings (matrix_free,
+/// aca_tolerance) and health validation (validate_kle or strict) come from
+/// the pipeline's ExperimentConfig.
 struct KleRunRequest {
   std::size_t r = 25;              // KLE truncation
   std::size_t num_eigenpairs = 50; // computed pairs m (clamped to the mesh)
   /// Fresh-solve path: read only during run_kle (the result keeps a copy).
   const mesh::TriMesh* mesh = nullptr;
   store::KleArtifactStore* store = nullptr;  // store-fetch path
-  /// Fresh-solve path only: solve matrix-free (see ExperimentConfig).
-  bool matrix_free = false;
-  double aca_tolerance = 0.0;  // 0 = linalg::HmatOptions default
-  /// Additionally run core::check_kle_health into the outcome's info.
-  bool validate = false;
   /// Forwarded to McSstaOptions::cancelled: polled between Monte Carlo
   /// lease claims; a true return aborts the run with kDeadlineExceeded.
   /// Empty = never cancelled. Must be thread-safe.

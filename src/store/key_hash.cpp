@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "kernels/kernel_fit.h"
 #include "kernels/kernel_library.h"
 #include "mesh/refine.h"
 #include "mesh/structured_mesher.h"
@@ -175,6 +176,51 @@ std::unique_ptr<kernels::CovarianceKernel> make_kernel(
   }
   throw Error("make_kernel: unknown kernel id '" + id + "'",
               ErrorCode::kPrecondition);
+}
+
+KleArtifactConfig parse_kle_config(const CliFlags& flags) {
+  KleArtifactConfig config;
+  config.kernel_id = flags.get_string("kernel", "gaussian");
+  const std::string& family = config.kernel_id;
+  const double c = flags.get_double("c", 0.0);
+  if (family == "gaussian") {
+    config.kernel_params = {c > 0.0 ? c : kernels::paper_gaussian_c()};
+  } else if (family == "exponential" || family == "separable_l1") {
+    config.kernel_params = {c > 0.0 ? c : 1.0};
+  } else if (family == "matern") {
+    config.kernel_params = {flags.get_double("b", 2.0),
+                            flags.get_double("s", 2.0)};
+  } else if (family == "linear_cone") {
+    config.kernel_params = {flags.get_double("rho", 1.0)};
+  } else {
+    throw Error("unknown --kernel family '" + family +
+                    "' (gaussian, exponential, separable_l1, matern, "
+                    "linear_cone)",
+                ErrorCode::kPrecondition);
+  }
+  const std::string mesh = flags.get_string("mesh", "cross");
+  if (mesh == "paper") {
+    config.mesh.kind = MeshSpec::Kind::kPaperRefined;
+  } else if (mesh == "cross") {
+    config.mesh.kind = MeshSpec::Kind::kStructuredCross;
+  } else if (mesh == "diagonal") {
+    config.mesh.kind = MeshSpec::Kind::kStructuredDiagonal;
+  } else {
+    throw Error("unknown --mesh '" + mesh + "' (paper, cross, diagonal)",
+                ErrorCode::kPrecondition);
+  }
+  config.mesh.target_triangles = flags.get_size("triangles", 1546);
+  config.mesh.area_fraction = flags.get_double("area-fraction", 0.001);
+  config.mesh.mesher_seed =
+      static_cast<std::uint64_t>(flags.get_int("mesh-seed", 1));
+  const long quadrature = flags.get_int("quadrature", 1);
+  require(quadrature == 1 || quadrature == 3 || quadrature == 7,
+          "--quadrature must be 1, 3 or 7");
+  config.quadrature = quadrature == 7   ? core::QuadratureRule::kSymmetric7
+                      : quadrature == 3 ? core::QuadratureRule::kSymmetric3
+                                        : core::QuadratureRule::kCentroid1;
+  config.num_eigenpairs = flags.get_size("pairs", 50);
+  return config;
 }
 
 }  // namespace sckl::store

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "core/kle_solver.h"
 #include "geometry/point2.h"
 #include "kernels/covariance_kernel.h"
@@ -93,5 +94,17 @@ void describe_kernel(const kernels::CovarianceKernel& kernel,
 /// parameter count, so a bad request yields a typed error, not a crash.
 std::unique_ptr<kernels::CovarianceKernel> make_kernel(
     const std::string& id, const std::vector<double>& params);
+
+/// The KLE a command line names: the one flag parser behind
+/// `kle_store_tool build` and `sckl_serve solve`, so both name the same
+/// artifact for the same flags. Reads the kernel family and parameters
+/// (--kernel=gaussian|exponential|separable_l1|matern|linear_cone, --c,
+/// --b, --s, --rho), then --mesh=cross|diagonal|paper, --triangles=1546,
+/// --area-fraction=0.001, --mesh-seed=1, --quadrature=1|3|7 and --pairs=50.
+/// An unset --c means the paper's fitted Gaussian c, or 1 for the other
+/// c-families. Unknown families or mesh kinds, other quadrature orders and
+/// negative counts throw sckl::Error(kPrecondition). Build the kernel with
+/// make_kernel(config.kernel_id, config.kernel_params).
+KleArtifactConfig parse_kle_config(const CliFlags& flags);
 
 }  // namespace sckl::store

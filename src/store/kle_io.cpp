@@ -21,16 +21,13 @@ constexpr std::array<std::uint8_t, 4> kMagic = {'S', 'C', 'K', 'L'};
 
 // The byte-level codec lives in common/wire.h so the serve protocol shares
 // it; this file keeps only the artifact-specific structure.
+using wire::crc32;
 using wire::put_f64;
 using wire::put_string;
 using wire::put_u32;
 using wire::put_u64;
 
 }  // namespace
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
-  return wire::crc32(data, size);
-}
 
 core::KleResult solve_artifact(const KleArtifactConfig& config,
                                const kernels::CovarianceKernel& kernel) {

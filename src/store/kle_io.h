@@ -97,7 +97,4 @@ void fsync_directory(const std::string& dir);
 /// site `store_read` injects a transient failure here.
 StoredKleResult read_kle_file(const std::string& path);
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of a byte range.
-std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
-
 }  // namespace sckl::store

@@ -31,7 +31,7 @@
 // state) are BIT-identical to an uninterrupted reference run.
 //
 // `mc-dist` mode is the distributed chaos harness of the remote lease
-// protocol (serve protocol v3): each scenario forks a coordinator daemon
+// protocol (DESIGN.md §12): each scenario forks a coordinator daemon
 // (sckl_serve Server running a distributed RunSsta) plus three worker
 // processes (serve::run_worker), then injures the fleet —
 //

@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.h"
+#include "common/error.h"
 #include "common/thread_pool.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -327,6 +329,22 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
   EXPECT_LE(first, second);  // monotone across calls
   sw.reset();
   EXPECT_LT(sw.seconds(), 1.0);
+}
+
+TEST(RunToolTest, AnyExceptionIsAMessageAndExitOne) {
+  // A tool body that runs out of memory (an oversized solve) must exit 1
+  // like one that throws sckl::Error, not abort on an uncaught exception.
+  const char* argv[] = {"tool"};
+  const CliFlags flags(1, argv);
+  EXPECT_EQ(obs::run_tool("tool", flags, []() -> int {
+              throw std::bad_alloc();
+            }),
+            1);
+  EXPECT_EQ(obs::run_tool("tool", flags, []() -> int {
+              throw Error("typed", ErrorCode::kPrecondition);
+            }),
+            1);
+  EXPECT_EQ(obs::run_tool("tool", flags, [] { return 0; }), 0);
 }
 
 TEST(TraceEnvTest, ParsesTruthyAndFalsyValues) {

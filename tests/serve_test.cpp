@@ -124,7 +124,7 @@ TEST_F(ServeTest, HelloRoundTrip) {
   serve::Client c = client();
   const serve::HelloReply hello = c.hello();
   EXPECT_EQ(hello.protocol_version, wire::kProtocolVersion);
-  EXPECT_EQ(hello.server, options_.server_name);
+  EXPECT_EQ(hello.server, serve::kServerName);
 }
 
 TEST_F(ServeTest, StatsDocumentHasSchemaAndCounters) {
@@ -217,7 +217,7 @@ TEST_F(ServeTest, RunSstaCheckpointedReportsTailsAndResumes) {
   EXPECT_EQ(resumed.p999, reply.p999);
 }
 
-// --- distributed runs (protocol v3) ----------------------------------------
+// --- distributed runs ------------------------------------------------------
 
 serve::RunSstaRequest dist_ssta_request(const std::string& run_id) {
   serve::RunSstaRequest request;
@@ -346,7 +346,9 @@ TEST_F(ServeTest, ClaimLeasesConfigHashMismatchIsPrecondition) {
   st.run_id = "dist-hash";
   const serve::RunStatusReply status = c.run_status(st);
   ASSERT_EQ(status.run_state, serve::RunState::kComplete);
-  ASSERT_NE(status.config_hash, 0u);
+  // The ledger workload key of this workload, pinned: if it moved, ledgers
+  // written by earlier builds could no longer be resumed.
+  ASSERT_EQ(status.config_hash, 0x474377705e26433bull);
 
   // A worker carrying a different hash is computing a different workload:
   // its claim must be refused before any lease changes hands.
@@ -361,6 +363,58 @@ TEST_F(ServeTest, ClaimLeasesConfigHashMismatchIsPrecondition) {
   EXPECT_EQ(c.claim_leases(claim).run_state, serve::RunState::kComplete);
   claim.config_hash = 0;
   EXPECT_EQ(c.claim_leases(claim).run_state, serve::RunState::kComplete);
+}
+
+TEST(ServeProtocolTest, ClaimLeasesReplyCarriesTheRequestAndLedgerHeader) {
+  serve::ClaimLeasesReply sent;
+  sent.run_state = serve::RunState::kRunning;
+  sent.workload = dist_ssta_request("dist-codec");
+  sent.workload.num_samples = 65;
+  sent.workload.num_eigenpairs = 50;
+  sent.workload.kernel_c = 1.25;
+  sent.workload.resume = true;
+  sent.geometry = {0x474377705e26433bull, 65, 8, 2, 1003, 4096, 7};
+  sent.lease_ttl_ms = 10'000;
+  sent.heartbeat_interval_ms = 500;
+  sent.leases = {{0, 0, 2}, {3, 6, 1}};
+  const std::vector<std::uint8_t> bytes = serve::encode_reply(sent);
+
+  wire::ByteReader r(bytes.data(), bytes.size(), ErrorCode::kProtocol,
+                     "reply");
+  const serve::ClaimLeasesReply got = serve::decode_claim_leases_reply(r);
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(got.run_state, sent.run_state);
+  std::vector<std::uint8_t> sent_workload, got_workload;
+  serve::encode(sent_workload, sent.workload);
+  serve::encode(got_workload, got.workload);
+  EXPECT_EQ(got_workload, sent_workload);
+  EXPECT_TRUE(got.geometry == sent.geometry);
+  EXPECT_EQ(got.lease_ttl_ms, sent.lease_ttl_ms);
+  EXPECT_EQ(got.heartbeat_interval_ms, sent.heartbeat_interval_ms);
+  ASSERT_EQ(got.leases.size(), 2u);
+  EXPECT_EQ(got.leases[1].index, 3u);
+  EXPECT_EQ(got.leases[1].first_block, 6u);
+  EXPECT_EQ(got.leases[1].num_blocks, 1u);
+
+  // Every truncation is a typed protocol error, never a crash.
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    wire::ByteReader cut(bytes.data(), n, ErrorCode::kProtocol, "reply");
+    EXPECT_EQ(code_of([&] { serve::decode_claim_leases_reply(cut); }),
+              ErrorCode::kProtocol)
+        << "truncated to " << n << " of " << bytes.size() << " bytes";
+  }
+
+  // So is a ledger header whose tag is not kLedgerHeaderTag.
+  std::vector<std::uint8_t> workload;
+  serve::encode(workload, sent.workload);
+  std::vector<std::uint8_t> bad_tag = bytes;
+  const std::size_t tag_at = 4 + 1 + workload.size();  // status, run_state
+  ASSERT_EQ(bad_tag[tag_at], ssta::kLedgerHeaderTag);
+  bad_tag[tag_at] = ssta::kLedgerLeaseTag;
+  wire::ByteReader tagged(bad_tag.data(), bad_tag.size(), ErrorCode::kProtocol,
+                          "reply");
+  EXPECT_EQ(code_of([&] { serve::decode_claim_leases_reply(tagged); }),
+            ErrorCode::kProtocol);
 }
 
 TEST_F(ServeTest, ServerValidatesLeaseTtlAgainstHeartbeatInterval) {
@@ -394,7 +448,7 @@ TEST_F(ServeTest, StaleConnectionAfterRestartFailsTypedAndFreshOneWorks) {
   stale.set_rpc_timeout_ms(2'000);
   EXPECT_EQ(code_of([&] { stale.hello(); }), ErrorCode::kIoTransient);
   serve::Client fresh = client();
-  EXPECT_EQ(fresh.hello().server, options_.server_name);
+  EXPECT_EQ(fresh.hello().server, serve::kServerName);
 }
 
 TEST_F(ServeTest, SilentPeerSurfacesAsDeadlineExceededNotAHang) {

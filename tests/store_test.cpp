@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "field/kle_sampler.h"
 #include "kernels/kernel_library.h"
@@ -303,6 +305,51 @@ TEST(KeyHashTest, DescribeKernelRoundTripsEveryFamily) {
   const kernels::RadialMagnitudeKernel radial_b(2.0000004);
   ASSERT_EQ(radial_a.name(), radial_b.name());
   EXPECT_NE(key_of(radial_a), key_of(radial_b));
+}
+
+// The one KLE flag parser, shared by kle_store_tool build and sckl_serve
+// solve: it must keep naming the artifacts kle_store_tool always named.
+store::KleArtifactConfig parsed(std::vector<const char*> args) {
+  args.insert(args.begin(), "tool");
+  return store::parse_kle_config(
+      CliFlags(static_cast<int>(args.size()), args.data()));
+}
+
+TEST(KeyHashTest, KleConfigFlagsKeepKleStoreToolKeys) {
+  EXPECT_EQ(store::key_string(store::artifact_key(
+                parsed({"--triangles=400", "--pairs=25"}))),
+            "b3a2e6fb4ce56030");
+  EXPECT_EQ(store::key_string(store::artifact_key(
+                parsed({"--kernel=matern", "--b=3", "--s=2.5", "--mesh=paper",
+                        "--mesh-seed=8", "--pairs=30"}))),
+            "8356d7dc5554df36");
+  EXPECT_EQ(store::key_string(store::artifact_key(
+                parsed({"--kernel=exponential", "--c=1.5", "--mesh=cross",
+                        "--triangles=400", "--pairs=10"}))),
+            "a64d5f76e8d46b93");
+  // The parsed parameters build the kernel they describe.
+  const store::KleArtifactConfig matern =
+      parsed({"--kernel=matern", "--b=3", "--s=2.5"});
+  const auto kernel =
+      store::make_kernel(matern.kernel_id, matern.kernel_params);
+  std::string id;
+  std::vector<double> params;
+  store::describe_kernel(*kernel, id, params);
+  EXPECT_EQ(id, "matern");
+  EXPECT_EQ(params, (std::vector<double>{3.0, 2.5}));
+}
+
+TEST(KeyHashTest, KleConfigFlagsRejectBadInputWithTypedErrors) {
+  for (const char* bad : {"--kernel=bessel", "--mesh=hex", "--quadrature=5",
+                          "--triangles=-1", "--pairs=-1"}) {
+    SCOPED_TRACE(bad);
+    try {
+      parsed({bad});
+      ADD_FAILURE() << "accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kPrecondition);
+    }
+  }
 }
 
 // --- LruCache --------------------------------------------------------------

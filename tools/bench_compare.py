@@ -29,6 +29,12 @@ operations per side, and a verdict against the bounds in BENCHMARK.json:
 Per-layer metrics (traced runs) have no bound; their rows read "-". A
 metric that reads 0 in every run of both sides is left out. The script only
 reads BENCHMARK.json and the run files.
+
+A run line may also carry "host_steal_pct": the share of the host's CPU
+time that other tenants took while the run ran. Under the table, a second
+table gives each side's median and maximum of it per workload, so a
+verdict read on a host whose CPU was being stolen shows as such. Runs
+without the field are left out of it, and it changes no verdict.
 """
 
 import argparse
@@ -156,6 +162,19 @@ def verdict(row, bound, higher, parent_values, change_values):
     return "within bound"
 
 
+def steal(runs):
+    """{workload: {side: (median, max) or None}} of the runs'
+    host_steal_pct; runs without the field are left out."""
+    values = {}
+    for r in runs:
+        sides = values.setdefault(r["workload"], {"parent": [], "change": []})
+        if "host_steal_pct" in r:
+            sides[r["side"]].append(r["host_steal_pct"])
+    return {workload: {side: (summary(v)[1], max(v)) if v else None
+                       for side, v in sides.items()}
+            for workload, sides in values.items()}
+
+
 def fmt(x):
     return "%.4g" % x
 
@@ -178,6 +197,25 @@ def render(rows):
     return "\n".join(out)
 
 
+def render_steal(table):
+    """The steal table, or "" when no run carries host_steal_pct."""
+    rows = [(w, sides) for w, sides in sorted(table.items())
+            if any(sides.values())]
+    if not rows:
+        return ""
+    out = ["", "Host CPU steal during the runs (host_steal_pct, %):", "",
+           "| workload | parent median | parent max | change median"
+           " | change max |",
+           "|---|---|---|---|---|"]
+    for workload, sides in rows:
+        cells = []
+        for side in ("parent", "change"):
+            cells += [fmt(x) for x in sides[side]] if sides[side] \
+                else ["-", "-"]
+        out.append("| %s | %s |" % (workload, " | ".join(cells)))
+    return "\n".join(out)
+
+
 def selftest():
     spec = {"end_to_end": [
                 {"name": "op_ms", "unit": "ms", "better": "lower",
@@ -187,14 +225,19 @@ def selftest():
             "per_layer": [
                 {"name": "linalg.lanczos_s", "unit": "s", "better": "lower"}]}
 
-    def run(pair, side, workload, op_ms, failed=0, layer=None, seed=5):
+    def run(pair, side, workload, op_ms, failed=0, layer=None, seed=5,
+            steal_pct=None):
         metrics = {"op_ms": {"value": op_ms, "unit": "ms"},
                    "ops_per_s": {"value": 1000.0 / op_ms, "unit": "1/s"}}
         if layer is not None:
             metrics["linalg.lanczos_s"] = {"value": layer, "unit": "s"}
-        return {"pair": pair, "side": side, "workload": workload, "seed": seed,
-                "result": {"correct": failed == 0, "attempted": 10,
-                           "failed": failed, "metrics": metrics}}
+        record = {"pair": pair, "side": side, "workload": workload,
+                  "seed": seed,
+                  "result": {"correct": failed == 0, "attempted": 10,
+                             "failed": failed, "metrics": metrics}}
+        if steal_pct is not None:
+            record["host_steal_pct"] = steal_pct
+        return record
 
     runs = []
     for k in range(10):
@@ -202,9 +245,11 @@ def selftest():
         runs.append(run(k, "parent", "fast", 100.0 + k, layer=0.5))
         runs.append(run(k, "change", "fast", 60.0 + k if k else 200.0,
                         layer=0.3))
-        # 40% slower: past the 24% bound.
-        runs.append(run(k, "parent", "slow", 100.0))
-        runs.append(run(k, "change", "slow", 140.0))
+        # 40% slower: past the 24% bound. Both sides carry the host's CPU
+        # steal, one change run at 40%.
+        runs.append(run(k, "parent", "slow", 100.0, steal_pct=0.1 * k))
+        runs.append(run(k, "change", "slow", 140.0,
+                        steal_pct=40.0 if k == 2 else 1.0))
         # Same median, spread wider than the bound.
         runs.append(run(k, "parent", "noisy", 60.0 if k % 2 else 140.0))
         runs.append(run(k, "change", "noisy", 140.0 if k % 2 else 60.0))
@@ -250,6 +295,23 @@ def selftest():
             sys.stderr.write("selftest: fast %r counts %r, expected %r\n"
                              % (key, got, want))
             ok = False
+    # Only "slow" carries host_steal_pct; "fast" has no row in the table.
+    stolen = steal(runs)
+    want_steal = {"parent": (0.45, 0.9), "change": (1.0, 40.0)}
+    for side, (median, peak) in want_steal.items():
+        got = stolen["slow"][side]
+        if got is None or abs(got[0] - median) > 1e-12 or got[1] != peak:
+            sys.stderr.write("selftest: slow %s steal %r, expected %r\n"
+                             % (side, got, (median, peak)))
+            ok = False
+    text = render_steal(stolen)
+    if stolen["fast"] != {"parent": None, "change": None} or \
+            "| slow | 0.45 | 0.9 | 1 | 40 |" not in text or "fast" in text:
+        sys.stderr.write("selftest: steal table\n%s\n" % text)
+        ok = False
+    if render_steal(steal([r for r in runs if r["workload"] == "fast"])):
+        sys.stderr.write("selftest: steal table without host_steal_pct\n")
+        ok = False
     try:
         compare(runs + [run(4, "change", "fast", 61.0)], spec)
         sys.stderr.write("selftest: duplicate run accepted\n")
@@ -278,11 +340,15 @@ def main():
     with open(args.benchmark) as f:
         spec = json.load(f)
     try:
-        rows = compare(load_runs(args.runs), spec)
+        runs = load_runs(args.runs)
+        rows = compare(runs, spec)
     except ValueError as e:
         sys.stderr.write("bench_compare: %s\n" % e)
         return 2
     print(render(rows))
+    steal_table = render_steal(steal(runs))
+    if steal_table:
+        print(steal_table)
     return 0
 
 
